@@ -7,6 +7,7 @@
 //! integration tests assert that recorded traces match the figures
 //! (`tests/figure_traces.rs`).
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -112,15 +113,29 @@ impl fmt::Display for TraceEvent {
 
 /// Receives protocol events from a moderator.
 ///
-/// Implementations must tolerate concurrent calls; the moderator records
-/// while holding its own lock, so sinks should be fast and must never
+/// Implementations must tolerate concurrent calls. The moderator records
+/// most steps while holding the invoked method's coordination-cell lock
+/// (not a moderator-wide one), so sinks should be fast and must never
 /// call back into the moderator (deadlock).
 pub trait TraceSink: Send + Sync {
     /// Records one protocol step.
     fn record(&self, event: TraceEvent);
+
+    /// Whether [`TraceSink::record`] would keep `event`. A [`TeeSink`]
+    /// asks before cloning an event for any sink but its last, so a
+    /// selective sink placed first costs no clone for the events it
+    /// declines. The default keeps everything.
+    fn accepts(&self, _event: &TraceEvent) -> bool {
+        true
+    }
 }
 
-/// A [`TraceSink`] that keeps every event in memory, in record order.
+/// A [`TraceSink`] that keeps events in memory, in record order.
+///
+/// [`MemoryTrace::new`] keeps every event. [`MemoryTrace::bounded`]
+/// keeps only the newest `capacity`: recording into a full trace evicts
+/// the oldest event and counts it in [`MemoryTrace::dropped`], so the
+/// trace works as a fixed-size flight recorder.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -139,68 +154,132 @@ pub trait TraceSink: Send + Sync {
 /// ```
 #[derive(Default)]
 pub struct MemoryTrace {
-    events: Mutex<Vec<TraceEvent>>,
+    state: Mutex<TraceState>,
+    capacity: Option<usize>,
+}
+
+#[derive(Default)]
+struct TraceState {
+    events: VecDeque<TraceEvent>,
+    dropped: u64,
 }
 
 impl fmt::Debug for MemoryTrace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MemoryTrace")
             .field("len", &self.len())
+            .field("capacity", &self.capacity)
             .finish()
     }
 }
 
 impl MemoryTrace {
-    /// Creates an empty trace.
+    /// Creates an empty, unbounded trace.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Convenience: a new trace already wrapped in an [`Arc`] for handing
-    /// to a moderator builder.
+    /// Creates an empty trace that keeps only the newest `capacity`
+    /// events. Nothing is allocated until the first event arrives.
+    ///
+    /// ```
+    /// use amf_core::trace::{EventKind, MemoryTrace, TraceEvent, TraceSink};
+    /// use amf_core::MethodId;
+    ///
+    /// let ring = MemoryTrace::bounded(2);
+    /// for invocation in 1..=3 {
+    ///     ring.record(TraceEvent {
+    ///         invocation,
+    ///         method: MethodId::new("open"),
+    ///         concern: None,
+    ///         kind: EventKind::MethodInvoked,
+    ///     });
+    /// }
+    /// assert_eq!(ring.len(), 2);
+    /// assert_eq!(ring.dropped(), 1);
+    /// assert_eq!(ring.events()[0].invocation, 2);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn bounded(capacity: usize) -> Self {
+        assert!(capacity > 0, "trace capacity must be positive");
+        Self {
+            state: Mutex::default(),
+            capacity: Some(capacity),
+        }
+    }
+
+    /// Convenience: a new unbounded trace already wrapped in an [`Arc`]
+    /// for handing to a moderator builder.
     pub fn shared() -> Arc<Self> {
         Arc::new(Self::new())
     }
 
-    /// Number of recorded events.
+    /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.state.lock().events.len()
     }
 
-    /// Whether nothing has been recorded.
+    /// Whether no event is retained.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Snapshot of all events in record order.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.lock().clone()
+    /// Events evicted by the capacity bound since creation. Always zero
+    /// for an unbounded trace.
+    pub fn dropped(&self) -> u64 {
+        self.state.lock().dropped
     }
 
-    /// Snapshot of the events belonging to one invocation.
+    /// Snapshot of all retained events in record order.
+    pub fn events(&self) -> Vec<TraceEvent> {
+        self.state.lock().events.iter().cloned().collect()
+    }
+
+    /// Snapshot of the retained events belonging to one invocation.
     pub fn events_for(&self, invocation: u64) -> Vec<TraceEvent> {
-        self.events
+        self.state
             .lock()
+            .events
             .iter()
             .filter(|e| e.invocation == invocation)
             .cloned()
             .collect()
     }
 
-    /// Compact one-line-per-event rendering of the whole trace.
+    /// Compact one-line-per-event rendering of the retained events.
     pub fn compact(&self) -> Vec<String> {
-        self.events.lock().iter().map(TraceEvent::compact).collect()
+        self.state
+            .lock()
+            .events
+            .iter()
+            .map(TraceEvent::compact)
+            .collect()
     }
 
-    /// Clears all recorded events.
+    /// Clears all retained events; the [`MemoryTrace::dropped`] count
+    /// is kept.
     pub fn clear(&self) {
-        self.events.lock().clear();
+        self.state.lock().events.clear();
     }
 }
 
 impl TraceSink for MemoryTrace {
     fn record(&self, event: TraceEvent) {
-        self.events.lock().push(event);
+        let mut st = self.state.lock();
+        // Evict before pushing, so a full ring never grows its buffer.
+        let evicted = if self.capacity == Some(st.events.len()) {
+            st.dropped += 1;
+            st.events.pop_front()
+        } else {
+            None
+        };
+        st.events.push_back(event);
+        // Release the lock before the evicted event's refcounts drop.
+        drop(st);
+        drop(evicted);
     }
 }
 
@@ -236,8 +315,15 @@ impl TeeSink {
 
 impl TraceSink for TeeSink {
     fn record(&self, event: TraceEvent) {
-        for sink in &self.sinks {
-            sink.record(event.clone());
+        // Clone for every sink but the last, and only for those that keep
+        // the event; the last takes the event itself.
+        if let Some((last, rest)) = self.sinks.split_last() {
+            for sink in rest {
+                if sink.accepts(&event) {
+                    sink.record(event.clone());
+                }
+            }
+            last.record(event);
         }
     }
 }
@@ -287,6 +373,10 @@ impl TraceSink for FilterSink {
         if (self.predicate)(&event) {
             self.inner.record(event);
         }
+    }
+
+    fn accepts(&self, event: &TraceEvent) -> bool {
+        (self.predicate)(event) && self.inner.accepts(event)
     }
 }
 
@@ -357,6 +447,53 @@ mod tests {
     }
 
     #[test]
+    fn bounded_trace_keeps_the_newest_events_across_wraps() {
+        let cap = 5;
+        let t = MemoryTrace::bounded(cap);
+        // Several full wraps plus a partial one.
+        let records = 3 * cap as u64 + 2;
+        for i in 1..=records {
+            t.record(ev(i, EventKind::MethodInvoked));
+        }
+        assert_eq!(t.len(), cap);
+        assert_eq!(t.dropped(), records - cap as u64);
+        let kept: Vec<u64> = t.events().iter().map(|e| e.invocation).collect();
+        let newest: Vec<u64> = (records - cap as u64 + 1..=records).collect();
+        assert_eq!(kept, newest);
+        assert_eq!(t.compact().len(), cap);
+    }
+
+    #[test]
+    fn events_for_works_after_a_wrap() {
+        let t = MemoryTrace::bounded(4);
+        for i in 1..=3 {
+            t.record(ev(i, EventKind::PreactivationStarted));
+            t.record(ev(i, EventKind::ActivationResumed));
+        }
+        // Invocation 1 was evicted; 2 and 3 survive whole.
+        assert!(t.events_for(1).is_empty());
+        assert_eq!(t.events_for(2).len(), 2);
+        assert_eq!(t.events_for(3).len(), 2);
+        assert_eq!(t.dropped(), 2);
+    }
+
+    #[test]
+    fn unbounded_trace_never_drops() {
+        let t = MemoryTrace::new();
+        for i in 0..100 {
+            t.record(ev(i, EventKind::MethodInvoked));
+        }
+        assert_eq!(t.len(), 100);
+        assert_eq!(t.dropped(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace capacity must be positive")]
+    fn bounded_zero_panics() {
+        let _ = MemoryTrace::bounded(0);
+    }
+
+    #[test]
     fn tee_duplicates_events() {
         let a = MemoryTrace::shared();
         let b = MemoryTrace::shared();
@@ -366,6 +503,33 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert_eq!(b.len(), 2);
         assert_eq!(a.events(), b.events());
+    }
+
+    #[test]
+    fn accepts_reports_what_record_keeps() {
+        let filter = FilterSink::new(MemoryTrace::shared(), |e| {
+            matches!(e.kind, EventKind::PanicCaught)
+        });
+        assert!(filter.accepts(&ev(1, EventKind::PanicCaught)));
+        assert!(!filter.accepts(&ev(1, EventKind::MethodInvoked)));
+        assert!(MemoryTrace::new().accepts(&ev(1, EventKind::MethodInvoked)));
+    }
+
+    #[test]
+    fn tee_skips_sinks_that_decline() {
+        struct Refuses;
+        impl TraceSink for Refuses {
+            fn record(&self, _event: TraceEvent) {
+                panic!("a declining sink was handed an event");
+            }
+            fn accepts(&self, _event: &TraceEvent) -> bool {
+                false
+            }
+        }
+        let kept = MemoryTrace::shared();
+        let tee = TeeSink::new(vec![Arc::new(Refuses), kept.clone()]);
+        tee.record(ev(1, EventKind::MethodInvoked));
+        assert_eq!(kept.len(), 1);
     }
 
     #[test]

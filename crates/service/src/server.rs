@@ -44,7 +44,7 @@ use amf_aspects::metrics::{MetricsAspect, MetricsHub};
 use amf_aspects::quota::QuotaAspect;
 use amf_aspects::sched::{RateLimitAspect, ThrottleMode};
 use amf_concurrency::{RateLimiter, RateLimiterConfig, SystemClock, TaskEngine, WorkerPool};
-use amf_core::trace::MemoryTrace;
+use amf_core::trace::{EventKind, FilterSink, MemoryTrace, TeeSink, TraceEvent, TraceSink};
 use amf_core::{
     AbortError, AspectModerator, Concern, FairnessPolicy, PanicPolicy, RegistrationError,
 };
@@ -56,6 +56,27 @@ use crate::codec::{
     Response, WireStats,
 };
 use crate::reactor::{self, ReactorWaker};
+
+/// Events the service's main trace ring keeps: at ~64 B an event this
+/// is ~1 MiB, the last ~1,100 requests at 13–15 events each.
+pub const TRACE_RING_EVENTS: usize = 16_384;
+
+/// Anomaly events (aborts, timeouts, contained panics, quarantines) the
+/// service pins beyond the main ring's reach: ~64 KiB, the last ~500
+/// failed requests at two events each (the aspect's abort, then the
+/// activation's).
+pub const ANOMALY_RING_EVENTS: usize = 1_024;
+
+/// The protocol steps pinned in the anomaly ring.
+fn is_anomaly(event: &TraceEvent) -> bool {
+    matches!(
+        event.kind,
+        EventKind::PreconditionAborted
+            | EventKind::ActivationAborted
+            | EventKind::PanicCaught
+            | EventKind::AspectQuarantined
+    )
+}
 
 /// Which execution front serves connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -255,6 +276,7 @@ pub struct ServiceHandle {
     auth: Arc<Authenticator>,
     metrics: MetricsHub,
     trace: Arc<MemoryTrace>,
+    anomalies: Arc<MemoryTrace>,
     shared: Arc<ServiceShared>,
     accept_thread: Option<JoinHandle<()>>,
     pool: Option<Arc<WorkerPool>>,
@@ -284,9 +306,18 @@ impl ServiceHandle {
         &self.metrics
     }
 
-    /// The protocol trace of every moderated activation.
+    /// The protocol trace of the most recent [`TRACE_RING_EVENTS`]
+    /// events; older ones are evicted and counted in
+    /// [`MemoryTrace::dropped`].
     pub fn trace(&self) -> &Arc<MemoryTrace> {
         &self.trace
+    }
+
+    /// The pinned anomalies: every abort, timeout, contained panic and
+    /// quarantine step, kept after the main trace has wrapped past them.
+    /// Only newer anomalies evict them, beyond [`ANOMALY_RING_EVENTS`].
+    pub fn anomalies(&self) -> &Arc<MemoryTrace> {
+        &self.anomalies
     }
 
     /// The live moderated proxy behind the service. Registering
@@ -340,7 +371,19 @@ impl TicketService {
     ///
     /// [`ServiceError`] when the bind or the aspect composition fails.
     pub fn spawn(addr: &str, config: ServiceConfig) -> Result<ServiceHandle, ServiceError> {
-        let trace = MemoryTrace::shared();
+        // The flight recorder: a bounded ring of recent protocol steps,
+        // teed with a second ring that pins every anomaly. The filter
+        // goes first, so the tee clones only the anomalies and moves
+        // every event into the main ring.
+        let trace = Arc::new(MemoryTrace::bounded(TRACE_RING_EVENTS));
+        let anomalies = Arc::new(MemoryTrace::bounded(ANOMALY_RING_EVENTS));
+        let recorder = TeeSink::new(vec![
+            Arc::new(FilterSink::new(
+                Arc::clone(&anomalies) as Arc<dyn TraceSink>,
+                is_anomaly,
+            )),
+            Arc::clone(&trace) as Arc<dyn TraceSink>,
+        ]);
         // Under the task front the engine doubles as the moderator's
         // grant source: a request blocked inside the protocol parks its
         // task, and the freed worker serves other requests.
@@ -349,7 +392,7 @@ impl TicketService {
             ServiceFront::Threaded => None,
         };
         let mut builder = AspectModerator::builder()
-            .trace(trace.clone() as Arc<dyn amf_core::trace::TraceSink>)
+            .trace(Arc::new(recorder))
             .fairness(config.fairness)
             .panic_policy(config.panic_policy);
         if let Some(engine) = &engine {
@@ -435,6 +478,7 @@ impl TicketService {
             auth,
             metrics,
             trace,
+            anomalies,
             shared,
             accept_thread: Some(accept_thread),
             pool,

@@ -4,7 +4,7 @@
 //! remote outcomes — an aspect veto (`Aborted`, bad token), a bounded
 //! buffer holding a request until the server gives up (`Blocked`),
 //! and the happy path — and finally prints the moderator's protocol
-//! trace of those activations.
+//! trace of those activations and the anomalies the service pins.
 //!
 //! Run with: `cargo run --example service`
 
@@ -58,6 +58,13 @@ fn main() {
 
     println!("\nprotocol trace (compact):");
     for line in handle.trace().compact() {
+        println!("  {line}");
+    }
+
+    // The bad-token veto and the Blocked timeout, pinned so they outlive
+    // the bounded main trace's wrap.
+    println!("\npinned anomalies:");
+    for line in handle.anomalies().compact() {
         println!("  {line}");
     }
 

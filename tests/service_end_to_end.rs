@@ -326,3 +326,56 @@ fn contained_panic_maps_to_err_and_spares_the_connection() {
     assert_eq!(wire.panics_caught, handle.stats().panics_caught);
     handle.shutdown();
 }
+
+/// The service's flight recorder is bounded: after enough traffic to
+/// wrap the main ring several times, the ring holds at most
+/// `TRACE_RING_EVENTS`, counts what it evicted, and an early auth abort
+/// survives only in the pinned anomaly ring.
+#[test]
+fn flight_recorder_wraps_but_pins_the_early_abort() {
+    use aspect_moderator::core::trace::EventKind;
+    use aspect_moderator::core::Concern;
+
+    let mut handle = spawn_service(ServiceConfig::default());
+    handle.authenticator().add_user("ops", "pw");
+    let token = handle.authenticator().login("ops", "pw").unwrap();
+    let mut client = ServiceClient::connect(handle.addr()).unwrap();
+
+    assert!(matches!(
+        client.open(AuthToken(0xbad), 0, Severity::Low, "evil"),
+        Err(ClientError::Aborted(_))
+    ));
+    let pinned = handle.anomalies().events();
+    let abort = pinned
+        .iter()
+        .find(|e| e.kind == EventKind::PreconditionAborted)
+        .expect("the auth veto is pinned");
+    let bad = abort.invocation;
+    assert_eq!(abort.concern, Some(Concern::authentication()));
+    assert!(!handle.trace().events_for(bad).is_empty());
+
+    for i in 1..=2_000 {
+        client.open(token, i, Severity::Low, "fill").unwrap();
+        assert_eq!(client.assign(token).unwrap().id.0, i);
+    }
+
+    let trace = handle.trace();
+    assert!(trace.len() <= amf_service::TRACE_RING_EVENTS);
+    assert!(trace.dropped() > 0, "2,000 pairs wrap the ring");
+    assert!(
+        trace.events_for(bad).is_empty(),
+        "the abort's events were evicted from the main ring"
+    );
+    let kinds: Vec<EventKind> = handle
+        .anomalies()
+        .events_for(bad)
+        .into_iter()
+        .map(|e| e.kind)
+        .collect();
+    assert_eq!(
+        kinds,
+        vec![EventKind::PreconditionAborted, EventKind::ActivationAborted]
+    );
+    assert_eq!(handle.anomalies().dropped(), 0);
+    handle.shutdown();
+}
