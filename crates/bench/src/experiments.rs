@@ -1881,6 +1881,11 @@ pub fn run_wire_ring(fault_permille: u64, leases: u64, visits: u64, expiry: Dura
     }
 }
 
+/// Leases and visits per lease of E16's full run. `loadgen` repeats the
+/// same ring into `BENCH_service.json` (`wire_topology`), so the two
+/// reports describe one experiment.
+pub const E16_LEASES_VISITS: (u64, u64) = (8, 30);
+
 /// E16 — wire recovery: a live 3-node TCP ring under seeded link
 /// faults at 0‰ / 10‰ / 100‰ drop (with equal duplication). Every
 /// lease must retire exactly once at every fault rate, and the handoff
@@ -1900,7 +1905,7 @@ pub fn e16_wire_recovery(quick: bool) -> Table {
             "verdict",
         ],
     );
-    let (leases, visits) = if quick { (2, 6) } else { (8, 30) };
+    let (leases, visits) = if quick { (2, 6) } else { E16_LEASES_VISITS };
     let expiry = Duration::from_millis(150);
     for faults in [0_u64, 10, 100] {
         let r = run_wire_ring(faults, leases, visits, expiry);

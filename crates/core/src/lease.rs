@@ -49,8 +49,7 @@
 //! lease's history, converting a would-be double grant into a counted
 //! `stale_dropped` and a cursor advance.
 
-use std::collections::BTreeMap;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Duration;
 
 /// Configuration for one directed lease link.
@@ -194,7 +193,7 @@ pub struct LeaseOut {
     stats: LeaseLinkStats,
     /// First-send → ack-complete latency of acknowledged grants, the
     /// recovery-time distribution (newest [`LATENCY_WINDOW`] samples).
-    ack_latencies: Vec<Duration>,
+    ack_latencies: VecDeque<Duration>,
     /// Incarnation id the peer declared in its last greeting; `None`
     /// until first contact. A greeting carrying a *different* id is
     /// proof of a receiver restart, however intact the cursor looks.
@@ -210,7 +209,7 @@ impl LeaseOut {
             pending: BTreeMap::new(),
             degraded: false,
             stats: LeaseLinkStats::default(),
-            ack_latencies: Vec::new(),
+            ack_latencies: VecDeque::new(),
             peer_incarnation: None,
         }
     }
@@ -260,7 +259,7 @@ impl LeaseOut {
     /// completion order (the newest `LATENCY_WINDOW` samples). This is the
     /// handoff recovery-time distribution: a retransmitted or delayed grant
     /// shows up as a long sample.
-    pub fn ack_latencies(&self) -> &[Duration] {
+    pub fn ack_latencies(&self) -> &VecDeque<Duration> {
         &self.ack_latencies
     }
 
@@ -268,9 +267,10 @@ impl LeaseOut {
         if let Some(p) = self.pending.remove(&seq) {
             if matches!(p.msg, LeaseMsg::Grant { .. }) {
                 if self.ack_latencies.len() >= LATENCY_WINDOW {
-                    self.ack_latencies.remove(0);
+                    self.ack_latencies.pop_front();
                 }
-                self.ack_latencies.push(now.saturating_sub(p.first_sent));
+                self.ack_latencies
+                    .push_back(now.saturating_sub(p.first_sent));
             }
         }
     }
@@ -1107,6 +1107,26 @@ mod tests {
                 visits: 2
             })),
             "retransmits resume after the regreeting: {acts:?}"
+        );
+    }
+
+    #[test]
+    fn ack_latency_window_keeps_the_newest_samples_in_completion_order() {
+        let mut out = LeaseOut::new(cfg());
+        let extra = 10;
+        // Grant k at t=0 and ack it at t=k µs: sample k is k µs long.
+        for k in 0..(LATENCY_WINDOW + extra) as u64 {
+            let seq = out.grant(k, 1, 1, Duration::ZERO).seq();
+            out.on_ack(seq, seq + 1, Duration::from_micros(k));
+        }
+        let window = out.ack_latencies();
+        assert_eq!(window.len(), LATENCY_WINDOW);
+        assert!(
+            window
+                .iter()
+                .zip(extra as u64..)
+                .all(|(d, k)| *d == Duration::from_micros(k)),
+            "the oldest {extra} samples are evicted, the rest stay in order"
         );
     }
 

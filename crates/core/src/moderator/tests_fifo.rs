@@ -5,6 +5,7 @@
 use super::*;
 use crate::aspect::FnAspect;
 use crate::context::InvocationContext;
+use crate::trace::{EventKind, MemoryTrace};
 use crate::verdict::Verdict;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -112,26 +113,30 @@ fn fifo_serves_waiters_in_park_order_notify_all() {
 
 #[test]
 fn fifo_newcomer_cannot_overtake_parked_waiter() {
+    // Grant order is read from the trace, where `ActivationResumed` is
+    // recorded under the cell lock at the moment of admission; a tag
+    // each caller pushed after `preactivation` returned would race.
+    let trace = MemoryTrace::shared();
     let m = Arc::new(
         AspectModerator::builder()
             .fairness(FairnessPolicy::Fifo)
+            .trace(trace.clone())
             .build(),
     );
     let tokens = Arc::new(AtomicU64::new(0));
     let (open, tick) = gated(&m, &tokens);
-    let order = Arc::new(Mutex::new(Vec::new()));
-    let spawn_caller = |tag: &'static str| {
+    let spawn_caller = || {
         let m = Arc::clone(&m);
         let open = open.clone();
-        let order = Arc::clone(&order);
-        thread::spawn(move || {
-            let mut ctx = ctx_for(&m, &open);
+        let mut ctx = ctx_for(&m, &open);
+        let id = ctx.invocation();
+        let caller = thread::spawn(move || {
             m.preactivation(&open, &mut ctx).unwrap();
-            order.lock().push(tag);
             m.postactivation(&open, &mut ctx);
-        })
+        });
+        (id, caller)
     };
-    let early = spawn_caller("early");
+    let (early_id, early) = spawn_caller();
     while m.stats().blocks == 0 {
         thread::yield_now();
     }
@@ -139,11 +144,19 @@ fn fifo_newcomer_cannot_overtake_parked_waiter() {
     // waiter owns the queue head. A newcomer whose chain *would*
     // resume must queue behind it instead of taking the token.
     tokens.store(1, AtomicOrdering::SeqCst);
-    let late = spawn_caller("late");
+    let (late_id, late) = spawn_caller();
     while m.stats().blocks < 2 {
         thread::yield_now();
     }
-    assert!(order.lock().is_empty(), "a caller ran before any grant");
+    let granted = || -> Vec<u64> {
+        trace
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == EventKind::ActivationResumed && e.method == *open.id())
+            .map(|e| e.invocation)
+            .collect()
+    };
+    assert!(granted().is_empty(), "a caller ran before any grant");
     // Two ticks: each wakes the head and mints one more token.
     for _ in 0..2 {
         let mut ctx = ctx_for(&m, &tick);
@@ -152,7 +165,11 @@ fn fifo_newcomer_cannot_overtake_parked_waiter() {
     }
     early.join().unwrap();
     late.join().unwrap();
-    assert_eq!(*order.lock(), vec!["early", "late"]);
+    assert_eq!(
+        granted(),
+        vec![early_id, late_id],
+        "grant order != park order"
+    );
 }
 
 #[test]

@@ -27,6 +27,7 @@
 
 pub mod client;
 pub mod codec;
+mod epoll;
 pub mod frame;
 pub mod peer;
 pub mod reactor;

@@ -9,9 +9,8 @@
 //!
 //! Structure:
 //!
-//! * **epoll binding** — minimal raw `extern "C"` declarations against
-//!   the libc the binary already links (consistent with the
-//!   no-registry shims policy; no crate dependency). Level-triggered.
+//! * **epoll binding** — the crate's shared raw binding
+//!   (`epoll.rs`), level-triggered.
 //! * **per-connection state machine** — a nonblocking socket, the
 //!   sans-io [`FrameDecoder`], an outbound byte buffer, and a
 //!   one-request-in-flight discipline (`busy` + a `pending` queue)
@@ -32,7 +31,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
+use std::os::fd::{AsRawFd, OwnedFd};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -41,48 +40,9 @@ use amf_concurrency::TaskEngine;
 use parking_lot::Mutex;
 
 use crate::codec::{decode_request, encode_response, Request, Response};
+use crate::epoll::{self, epoll_add, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 use crate::frame::FrameDecoder;
 use crate::server::ServiceShared;
-
-// --- epoll / eventfd binding (x86_64 linux) --------------------------
-
-const EPOLLIN: u32 = 0x001;
-const EPOLLOUT: u32 = 0x004;
-const EPOLLERR: u32 = 0x008;
-const EPOLLHUP: u32 = 0x010;
-
-const EPOLL_CTL_ADD: i32 = 1;
-const EPOLL_CTL_DEL: i32 = 2;
-const EPOLL_CTL_MOD: i32 = 3;
-
-const EPOLL_CLOEXEC: i32 = 0x80000;
-const EFD_CLOEXEC: i32 = 0x80000;
-const EFD_NONBLOCK: i32 = 0x800;
-
-/// `struct epoll_event`; packed on x86_64, where the kernel ABI elides
-/// the padding other architectures keep.
-#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-#[derive(Clone, Copy)]
-struct EpollEvent {
-    events: u32,
-    data: u64,
-}
-
-extern "C" {
-    fn epoll_create1(flags: i32) -> i32;
-    fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-    fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
-    fn eventfd(initval: u32, flags: i32) -> i32;
-}
-
-fn epoll_add(ep: i32, fd: i32, events: u32, data: u64) -> io::Result<()> {
-    let mut ev = EpollEvent { events, data };
-    if unsafe { epoll_ctl(ep, EPOLL_CTL_ADD, fd, &mut ev) } != 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(())
-}
 
 // --- completions and the waker ---------------------------------------
 
@@ -111,7 +71,7 @@ impl std::fmt::Debug for ReactorWaker {
 impl ReactorWaker {
     /// Interrupts the reactor's `epoll_wait`.
     pub(crate) fn wake(&self) {
-        let _ = (&self.efd).write(&1u64.to_ne_bytes());
+        epoll::signal(&self.efd);
     }
 
     fn complete(&self, c: Completion) {
@@ -124,8 +84,7 @@ impl ReactorWaker {
     }
 
     fn clear_signal(&self) {
-        let mut buf = [0u8; 8];
-        let _ = (&self.efd).read(&mut buf);
+        epoll::clear(&self.efd);
     }
 }
 
@@ -199,20 +158,8 @@ pub(crate) fn spawn(
     engine: Arc<TaskEngine>,
 ) -> io::Result<(JoinHandle<()>, Arc<ReactorWaker>)> {
     listener.set_nonblocking(true)?;
-    let ep = unsafe {
-        let fd = epoll_create1(EPOLL_CLOEXEC);
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        OwnedFd::from_raw_fd(fd)
-    };
-    let efd = unsafe {
-        let fd = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        File::from_raw_fd(fd)
-    };
+    let ep = epoll::create()?;
+    let efd = epoll::event_fd()?;
     epoll_add(ep.as_raw_fd(), listener.as_raw_fd(), EPOLLIN, TOK_LISTENER)?;
     epoll_add(ep.as_raw_fd(), efd.as_raw_fd(), EPOLLIN, TOK_WAKER)?;
     let waker = Arc::new(ReactorWaker {
@@ -244,21 +191,10 @@ impl Reactor {
             if self.shared.shutting_down.load(Ordering::SeqCst) {
                 break;
             }
-            let n = unsafe {
-                epoll_wait(
-                    self.ep.as_raw_fd(),
-                    events.as_mut_ptr(),
-                    MAX_EVENTS as i32,
-                    WAIT_TICK_MS,
-                )
-            };
-            if n < 0 {
-                if io::Error::last_os_error().kind() == io::ErrorKind::Interrupted {
-                    continue;
-                }
+            let Ok(n) = epoll::wait(&self.ep, &mut events, WAIT_TICK_MS) else {
                 break;
-            }
-            for ev in &events[..n as usize] {
+            };
+            for ev in &events[..n] {
                 let (bits, data) = (ev.events, ev.data);
                 match data {
                     TOK_LISTENER => self.accept_ready(),
@@ -489,31 +425,18 @@ impl Reactor {
         let want = conn.out_pos < conn.out.len();
         if want != conn.want_write {
             conn.want_write = want;
-            let mut ev = EpollEvent {
-                events: EPOLLIN | if want { EPOLLOUT } else { 0 },
-                data: token,
-            };
-            unsafe {
-                epoll_ctl(
-                    self.ep.as_raw_fd(),
-                    EPOLL_CTL_MOD,
-                    conn.stream.as_raw_fd(),
-                    &mut ev,
-                );
-            }
+            epoll::epoll_mod(
+                self.ep.as_raw_fd(),
+                conn.stream.as_raw_fd(),
+                EPOLLIN | if want { EPOLLOUT } else { 0 },
+                token,
+            );
         }
     }
 
     fn close_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
-            unsafe {
-                epoll_ctl(
-                    self.ep.as_raw_fd(),
-                    EPOLL_CTL_DEL,
-                    conn.stream.as_raw_fd(),
-                    std::ptr::null_mut(),
-                );
-            }
+            epoll::epoll_del(self.ep.as_raw_fd(), conn.stream.as_raw_fd());
             self.shared.open_connections.fetch_sub(1, Ordering::SeqCst);
         }
     }

@@ -236,3 +236,58 @@ fn severed_link_degrades_locally_and_loses_nothing() {
     );
     assert!(s.degraded_now, "peer never returned, node stays degraded");
 }
+
+/// A successor that greets and then never reads again must not wedge
+/// the node: once the unwritten output passes its bound the connection
+/// is dropped and counted, and the timers keep reclaiming. (A blocking
+/// write on the thread that drives expiry once hung here for good, with
+/// releases retransmitting into the full socket.)
+#[test]
+fn stalled_successor_is_dropped_and_reclaim_keeps_running() {
+    let expiry = Duration::from_millis(50);
+    let node = PeerNode::spawn(PeerConfig {
+        node: 0,
+        seed_leases: 8,
+        visits: u64::MAX,
+        lease: LeaseConfig {
+            expiry,
+            backoff_base: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(2),
+            jitter_seed: 7,
+        },
+        ..PeerConfig::default()
+    })
+    .expect("spawn node");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind stalled successor");
+    node.set_next(&listener.local_addr().expect("local addr").to_string());
+    // Greet the first connection so grants flow, then never read. Later
+    // connections sit in the backlog, never greeted, so nothing more is
+    // written to them.
+    let (mut stalled, _) = listener.accept().expect("node connects");
+    write_frame(&mut stalled, &encode_hello(1, 1, 0)).expect("greet");
+
+    // Every handoff expires and is reclaimed, each reclaim leaves a
+    // release retransmitting every few ms, and the socket fills.
+    let t0 = Instant::now();
+    while node.stats().stalled_drops == 0 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(60),
+            "the output bound never tripped: {:?}",
+            node.stats()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // The I/O thread is still driving expiry: the leases granted since
+    // keep expiring into reclaims, and the node stays degraded.
+    let before = node.stats().reclaimed;
+    let deadline = Instant::now() + expiry * 20;
+    loop {
+        let s = node.stats();
+        if s.reclaimed > before && s.degraded_now {
+            break;
+        }
+        assert!(Instant::now() < deadline, "reclaim stalled: {s:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop(stalled);
+}

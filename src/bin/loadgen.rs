@@ -21,7 +21,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use amf_bench::experiments::{
-    conn_scaling_meets, run_connection_scaling, run_wire_ring, ConnScaling,
+    conn_scaling_meets, run_connection_scaling, run_wire_ring, ConnScaling, E16_LEASES_VISITS,
 };
 use amf_bench::report::{fmt_ns, fmt_ops, JsonObject, JsonValue, LatencySummary};
 use amf_service::{run_load, LoadConfig, ServiceConfig, ServiceFront, TicketService};
@@ -194,7 +194,8 @@ fn main() -> ExitCode {
     let expiry = Duration::from_millis(150);
     let mut wire = JsonObject::new().field("expiry_ms", 150_u64);
     for faults in [0_u64, 10, 100] {
-        let r = run_wire_ring(faults, 2, 6, expiry);
+        let (leases, visits) = E16_LEASES_VISITS;
+        let r = run_wire_ring(faults, leases, visits, expiry);
         println!(
             "wire ring @ {faults}‰ faults: {:.0} visits/s, {} retransmits, {} reclaimed, \
              {} dups dropped, recovery p99 {}{}",

@@ -81,7 +81,7 @@ fn print_stats(node: &PeerNode) {
     println!(
         "STATS delivered={} retired={} reclaimed={} retransmits={} dup_dropped={} \
          stale_dropped={} degraded_entries={} rejoins={} degraded_now={} \
-         fast_path_admits={} fast_path_fallbacks={} retired_ids={}",
+         fast_path_admits={} fast_path_fallbacks={} stalled_drops={} retired_ids={}",
         s.delivered,
         s.retired,
         s.reclaimed,
@@ -93,6 +93,7 @@ fn print_stats(node: &PeerNode) {
         s.degraded_now,
         s.fast_path_admits,
         s.fast_path_fallbacks,
+        s.stalled_drops,
         retired.join(","),
     );
     let _ = std::io::stdout().flush();
