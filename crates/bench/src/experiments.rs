@@ -1715,12 +1715,17 @@ pub fn e14_fast_path(quick: bool) -> Table {
 /// capacity-1 producer/consumer model. Verdicts must agree at every
 /// bound (reduction prunes redundant transition *orders*, never
 /// states); the headline is the schedule reduction factor at 6×2 and
-/// the 8×2 row, which only completes at all under `Dpor`.
+/// the 8×2 row, which only completes at all under `Dpor`. Two more
+/// rows cover the multi-moderator half: a simulated 2-node
+/// lease-handoff ring (independent moderators wired by a droppable,
+/// reorderable channel) must replay byte-identically, and dropping its
+/// third handoff must end in a *detected* deadlock rather than a hang.
 pub fn e15_reduction(quick: bool) -> Table {
+    use amf_sim::{run_topology_scenario, TopologyParams, TopologyReplayHeader};
     use amf_verify::{Outcome, ReductionPolicy};
 
     let mut t = Table::new(
-        "E15 — DPOR schedule reduction (exhaustive buffer, cap 1)",
+        "E15 — DPOR schedule reduction (exhaustive buffer, cap 1) and lease-ring replay",
         &[
             "size",
             "policy",
@@ -1767,24 +1772,104 @@ pub fn e15_reduction(quick: bool) -> Table {
     // The frontier bound: infeasible under None (the schedule count
     // explodes past any reasonable budget), completed under Dpor —
     // 50.9M states / 47.6M schedules, roughly 70 minutes and ~25 GB on
-    // a single shared core, so it only runs in full (non-quick) mode.
+    // a single shared core, so it only runs in full (non-quick) mode,
+    // and only on a host with the memory to hold the state set.
     if !quick {
-        eprintln!("e15: exploring the 8×2 frontier bound (expect ~an hour) ...");
-        let (big, secs) = explore_buffer_with(1, 4, 2, ReductionPolicy::Dpor, 1 << 26);
-        t.row(&[
-            "8×2".to_string(),
-            "Dpor".to_string(),
-            big.states.to_string(),
-            big.schedules.to_string(),
-            fmt_ops(big.states as f64 / secs),
-            match big.outcome {
-                Outcome::Ok => "ok (previously infeasible) ✔".to_string(),
-                ref other => format!("{other:?}"),
-            },
-        ]);
+        let available = proc_kib("/proc/meminfo", "MemAvailable:") * 1024;
+        if available >= FRONTIER_BYTES {
+            eprintln!("e15: exploring the 8×2 frontier bound (expect ~an hour) ...");
+            let (big, secs) = explore_buffer_with(1, 4, 2, ReductionPolicy::Dpor, 1 << 26);
+            t.row(&[
+                "8×2".to_string(),
+                "Dpor".to_string(),
+                big.states.to_string(),
+                big.schedules.to_string(),
+                fmt_ops(big.states as f64 / secs),
+                match big.outcome {
+                    Outcome::Ok => "ok (previously infeasible) ✔".to_string(),
+                    ref other => format!("{other:?}"),
+                },
+            ]);
+        } else {
+            t.row(&[
+                "8×2".to_string(),
+                "Dpor".to_string(),
+                "-".to_string(),
+                "-".to_string(),
+                "-".to_string(),
+                format!(
+                    "skipped: needs {} GiB, {} GiB available",
+                    FRONTIER_BYTES >> 30,
+                    available >> 30
+                ),
+            ]);
+        }
     }
+
+    // The lease ring: record, replay, and the dropped-handoff ablation.
+    let params = TopologyParams {
+        seed: 42,
+        nodes: 2,
+        leases: if quick { 2 } else { 3 },
+        hops: if quick { 2 } else { 4 },
+        max_delay_ns: 50_000,
+        drop_nth: None,
+        dup_nth: None,
+        expiry_ns: 0,
+    };
+    let size = format!(
+        "{} nodes, {} leases × {} hops",
+        params.nodes, params.leases, params.hops
+    );
+    let recorded = run_topology_scenario(&params, None);
+    let artifact = recorded.to_json();
+    let replay_ok = recorded.error.is_none()
+        && TopologyReplayHeader::scan(&artifact)
+            .map(|h| run_topology_scenario(&params, Some(h.schedule)).to_json() == artifact)
+            .unwrap_or(false);
+    t.row(&[
+        size.clone(),
+        "sim record→replay".to_string(),
+        "-".to_string(),
+        recorded.schedule.len().to_string(),
+        "-".to_string(),
+        if replay_ok {
+            format!(
+                "byte-identical: {} handoffs, {} leases retired, \
+                 {} fast-lane admits, {} fallbacks ✔",
+                recorded.handoffs.len(),
+                recorded.retired.len(),
+                recorded.fast_path_admits,
+                recorded.fast_path_fallbacks,
+            )
+        } else {
+            format!("replay DIVERGED ✘ (error: {:?})", recorded.error)
+        },
+    ]);
+    let dropped = run_topology_scenario(
+        &TopologyParams {
+            drop_nth: Some(3),
+            ..params
+        },
+        None,
+    );
+    t.row(&[
+        size,
+        "drop 3rd handoff".to_string(),
+        "-".to_string(),
+        dropped.schedule.len().to_string(),
+        "-".to_string(),
+        match dropped.error.as_deref() {
+            Some(e) if e.contains("deadlock") => "deadlock detected ✔".to_string(),
+            other => format!("deadlock NOT detected ✘ (error: {other:?})"),
+        },
+    ]);
     t
 }
+
+/// Memory the 8×2 frontier exploration needs headroom for: its state
+/// set peaks at ~25 GB.
+const FRONTIER_BYTES: u64 = 32 << 30;
 
 /// Outcome of one E16 ring run: throughput, recovery work, and the
 /// grant ack-latency digest.
@@ -1808,8 +1893,7 @@ pub struct WireRun {
 /// Spawns a live 3-node [`PeerNode`] ring over loopback TCP, each link
 /// fronted by a seeded [`FaultProxy`] dropping and duplicating
 /// `fault_permille` of grant-plane frames, and runs `leases` leases of
-/// `visits` visits to retirement. Shared by E16 and the service load
-/// generator's `wire_topology` report section.
+/// `visits` visits to retirement.
 pub fn run_wire_ring(fault_permille: u64, leases: u64, visits: u64, expiry: Duration) -> WireRun {
     const NODES: usize = 3;
     let lease = LeaseConfig {
@@ -1881,11 +1965,6 @@ pub fn run_wire_ring(fault_permille: u64, leases: u64, visits: u64, expiry: Dura
     }
 }
 
-/// Leases and visits per lease of E16's full run. `loadgen` repeats the
-/// same ring into `BENCH_service.json` (`wire_topology`), so the two
-/// reports describe one experiment.
-pub const E16_LEASES_VISITS: (u64, u64) = (8, 30);
-
 /// E16 — wire recovery: a live 3-node TCP ring under seeded link
 /// faults at 0‰ / 10‰ / 100‰ drop (with equal duplication). Every
 /// lease must retire exactly once at every fault rate, and the handoff
@@ -1905,7 +1984,7 @@ pub fn e16_wire_recovery(quick: bool) -> Table {
             "verdict",
         ],
     );
-    let (leases, visits) = if quick { (2, 6) } else { E16_LEASES_VISITS };
+    let (leases, visits) = if quick { (2, 6) } else { (8, 30) };
     let expiry = Duration::from_millis(150);
     for faults in [0_u64, 10, 100] {
         let r = run_wire_ring(faults, leases, visits, expiry);
@@ -1951,14 +2030,15 @@ pub struct ConnScaling {
     pub rss_delta_bytes: u64,
 }
 
-/// Current resident set from `/proc/self/status`, in bytes. Returns 0
-/// when the proc filesystem is unavailable, which disables the RSS
-/// comparison rather than failing the run.
-fn vm_rss_bytes() -> u64 {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+/// The kB figure on `key`'s line of the proc file at `path` (e.g.
+/// `VmRSS:` in `/proc/self/status`). Returns 0 when the proc filesystem
+/// is unavailable, which disables whatever reads it (E17's RSS
+/// comparison, E15's frontier row) rather than failing the run.
+fn proc_kib(path: &str, key: &str) -> u64 {
+    let status = std::fs::read_to_string(path).unwrap_or_default();
     status
         .lines()
-        .find_map(|line| line.strip_prefix("VmRSS:"))
+        .find_map(|line| line.strip_prefix(key))
         .and_then(|rest| {
             rest.trim()
                 .trim_end_matches("kB")
@@ -1966,7 +2046,12 @@ fn vm_rss_bytes() -> u64 {
                 .parse::<u64>()
                 .ok()
         })
-        .map_or(0, |kb| kb * 1024)
+        .unwrap_or(0)
+}
+
+/// Current resident set, in bytes.
+fn vm_rss_bytes() -> u64 {
+    proc_kib("/proc/self/status", "VmRSS:") * 1024
 }
 
 /// Sweeps the whole idle fleet with a stats round-trip per
@@ -2067,7 +2152,7 @@ pub fn run_connection_scaling(
 /// front's connection count, at no more resident memory (page-noise
 /// slack) and with active-subset p99 no worse (10% measurement-jitter
 /// allowance on a strict ≤ comparison).
-pub fn conn_scaling_meets(task: &ConnScaling, threaded: &ConnScaling) -> (bool, bool, bool) {
+fn conn_scaling_meets(task: &ConnScaling, threaded: &ConnScaling) -> (bool, bool, bool) {
     let tenfold = task.sustained >= 10 * threaded.sustained;
     let equal_rss = task.rss_delta_bytes <= threaded.rss_delta_bytes + 256 * 1024;
     let p99_ok = task.p99_ns as f64 <= threaded.p99_ns as f64 * 1.10;
@@ -2135,9 +2220,10 @@ pub fn e17_connection_scaling(quick: bool) -> Table {
     t
 }
 
-/// Runs the named experiments ("e1".."e17", "v1" or "all") and prints
-/// their tables.
-pub fn run(names: &[String], quick: bool) {
+/// Runs the named experiments ("e1".."e17", "v1" or "all"), prints
+/// their tables, and returns them by name in run order. An unknown
+/// name is an error, reported before anything runs.
+pub fn run(names: &[String], quick: bool) -> Result<Vec<(&'static str, Table)>, String> {
     let wants = |n: &str| {
         names.is_empty()
             || names.iter().any(|x| x.eq_ignore_ascii_case(n))
@@ -2164,12 +2250,31 @@ pub fn run(names: &[String], quick: bool) {
         ("e17", e17_connection_scaling),
         ("v1", v1_verification),
     ];
+    if let Some(unknown) = names.iter().find(|x| {
+        !x.eq_ignore_ascii_case("all") && !runners.iter().any(|(n, _)| x.eq_ignore_ascii_case(n))
+    }) {
+        return Err(format!("unknown experiment {unknown}"));
+    }
+    let mut tables = Vec::new();
     for (name, f) in runners {
         if wants(name) {
             eprintln!("running {name} ...");
-            f(quick).print();
+            let table = f(quick);
+            table.print();
+            tables.push((name, table));
         }
     }
+    Ok(tables)
+}
+
+/// The JSON report of a [`run`]: one `"<name>": <table>` entry per
+/// experiment, in run order, one entry per line.
+pub fn report_json(tables: &[(&str, Table)]) -> String {
+    let entries: Vec<String> = tables
+        .iter()
+        .map(|(name, table)| format!("  \"{name}\": {}", table.to_json()))
+        .collect();
+    format!("{{\n{}\n}}\n", entries.join(",\n"))
 }
 
 #[cfg(test)]
@@ -2179,16 +2284,6 @@ mod tests {
     #[test]
     fn e1_produces_rows() {
         assert_eq!(e1_overhead(true).len(), 6);
-    }
-
-    #[test]
-    fn e3_produces_rows() {
-        assert_eq!(e3_composition(true).len(), 5);
-    }
-
-    #[test]
-    fn e4_produces_rows() {
-        assert_eq!(e4_bank(true).len(), 4);
     }
 
     #[test]
@@ -2220,9 +2315,33 @@ mod tests {
 
     #[test]
     fn e15_reduces_with_agreement() {
-        let md = e15_reduction(true).to_markdown();
+        let table = e15_reduction(true);
+        let md = table.to_markdown();
         assert!(md.contains("fewer schedules ✔"), "{md}");
-        assert!(!md.contains("DIVERGED"), "{md}");
+        assert!(md.contains("byte-identical"), "{md}");
+        assert!(md.contains("deadlock detected ✔"), "{md}");
+        assert!(!md.contains("✘"), "{md}");
+        assert_eq!(table.len(), 6);
+    }
+
+    #[test]
+    fn report_has_one_entry_per_experiment() {
+        let names = ["e3".to_string(), "e4".to_string()];
+        let tables = run(&names, true).unwrap();
+        let report = report_json(&tables);
+        let entries: Vec<&str> = report.lines().filter(|l| l.starts_with("  \"")).collect();
+        assert_eq!(entries.len(), 2, "{report}");
+        for ((name, table), entry) in tables.iter().zip(&entries) {
+            assert!(
+                entry.starts_with(&format!("  \"{name}\": {{\"title\"")),
+                "{entry}"
+            );
+            let rows = &entry[entry.find("\"rows\"").unwrap()..];
+            assert_eq!(rows.matches("[\"").count(), table.len(), "{entry}");
+        }
+        assert_eq!(tables[0].1.len(), 5);
+        assert_eq!(tables[1].1.len(), 4);
+        assert!(run(&["e99".to_string()], true).is_err());
     }
 
     #[test]
@@ -2237,7 +2356,7 @@ mod tests {
 
     #[test]
     fn e17_holds_the_fleet_live() {
-        // Verdict flags are asserted by the release loadgen run, where
+        // The verdict column is read from a full release run, where
         // latency comparisons are meaningful; here the liveness pass
         // itself (every fleet connection answers stats) is the test.
         assert_eq!(e17_connection_scaling(true).len(), 2);

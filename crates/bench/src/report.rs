@@ -1,5 +1,5 @@
-//! Markdown table rendering, latency summaries and JSON emission for
-//! the experiment harness and the service load generator.
+//! Markdown and JSON table rendering and latency summaries for the
+//! experiment harness.
 
 use std::fmt::Write as _;
 
@@ -61,6 +61,44 @@ impl Table {
     pub fn print(&self) {
         println!("{}", self.to_markdown());
     }
+
+    /// Renders the table as one JSON object: `title`, `headers`, and
+    /// `rows` as arrays of cell strings.
+    pub fn to_json(&self) -> String {
+        let strings = |cells: &[String]| {
+            let quoted: Vec<String> = cells.iter().map(|c| json_string(c)).collect();
+            format!("[{}]", quoted.join(", "))
+        };
+        let rows: Vec<String> = self.rows.iter().map(|r| strings(r)).collect();
+        format!(
+            "{{\"title\": {}, \"headers\": {}, \"rows\": [{}]}}",
+            json_string(&self.title),
+            strings(&self.headers),
+            rows.join(", ")
+        )
+    }
+}
+
+/// `s` as a JSON string literal: quotes, backslashes and control
+/// characters escaped, everything else (`µ`, `‰`, `✔`) kept as UTF-8.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Formats a nanosecond figure with a thousands-aware unit.
@@ -101,15 +139,13 @@ pub fn percentile_ns(sorted: &[u64], p: f64) -> u64 {
     sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
 }
 
-/// p50/p95/p99 latency digest of one operation class, in nanoseconds.
+/// p50/p99 latency digest of one operation class, in nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencySummary {
     /// Samples summarized.
     pub count: u64,
     /// Median latency.
     pub p50_ns: u64,
-    /// 95th percentile latency.
-    pub p95_ns: u64,
     /// 99th percentile latency.
     pub p99_ns: u64,
     /// Worst observed latency.
@@ -131,138 +167,10 @@ impl LatencySummary {
         Self {
             count,
             p50_ns: percentile_ns(samples, 50.0),
-            p95_ns: percentile_ns(samples, 95.0),
             p99_ns: percentile_ns(samples, 99.0),
             max_ns: samples.last().copied().unwrap_or(0),
             mean_ns: mean,
         }
-    }
-
-    /// Renders the digest as a JSON object value.
-    pub fn to_json(&self) -> JsonValue {
-        JsonObject::new()
-            .field("count", self.count)
-            .field("p50_ns", self.p50_ns)
-            .field("p95_ns", self.p95_ns)
-            .field("p99_ns", self.p99_ns)
-            .field("max_ns", self.max_ns)
-            .field("mean_ns", self.mean_ns)
-            .build()
-    }
-}
-
-/// A rendered JSON value (the bench harness emits JSON without a
-/// serialization dependency).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonValue(String);
-
-impl JsonValue {
-    /// The rendered JSON text.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-}
-
-impl std::fmt::Display for JsonValue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-/// Builder for a JSON object, preserving field order.
-#[derive(Debug, Clone, Default)]
-pub struct JsonObject {
-    fields: Vec<(String, String)>,
-}
-
-/// Types embeddable as JSON object field values.
-pub trait ToJsonValue {
-    /// Renders the value as JSON text.
-    fn render(&self) -> String;
-}
-
-impl ToJsonValue for u64 {
-    fn render(&self) -> String {
-        self.to_string()
-    }
-}
-
-impl ToJsonValue for usize {
-    fn render(&self) -> String {
-        self.to_string()
-    }
-}
-
-impl ToJsonValue for f64 {
-    fn render(&self) -> String {
-        if self.is_finite() {
-            format!("{self:.3}")
-        } else {
-            "null".to_string()
-        }
-    }
-}
-
-impl ToJsonValue for &str {
-    fn render(&self) -> String {
-        let mut out = String::with_capacity(self.len() + 2);
-        out.push('"');
-        for c in self.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-}
-
-impl ToJsonValue for JsonValue {
-    fn render(&self) -> String {
-        self.0.clone()
-    }
-}
-
-/// Builds a JSON array from already-rendered values.
-pub fn json_array(values: impl IntoIterator<Item = JsonValue>) -> JsonValue {
-    let body = values
-        .into_iter()
-        .map(|v| v.0)
-        .collect::<Vec<_>>()
-        .join(", ");
-    JsonValue(format!("[{body}]"))
-}
-
-impl JsonObject {
-    /// An empty object builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one field.
-    #[must_use]
-    pub fn field(mut self, name: &str, value: impl ToJsonValue) -> Self {
-        self.fields.push((name.render(), value.render()));
-        self
-    }
-
-    /// Renders the object.
-    pub fn build(self) -> JsonValue {
-        let body = self
-            .fields
-            .iter()
-            .map(|(k, v)| format!("{k}: {v}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        JsonValue(format!("{{{body}}}"))
     }
 }
 
@@ -331,26 +239,19 @@ mod tests {
         let s = LatencySummary::from_unsorted(&mut samples);
         assert_eq!(s.count, 1000);
         assert_eq!(s.p50_ns, 500);
-        assert_eq!(s.p95_ns, 950);
         assert_eq!(s.p99_ns, 990);
         assert_eq!(s.max_ns, 1000);
         assert_eq!(s.mean_ns, 500);
-        let json = s.to_json().to_string();
-        assert!(json.contains("\"p99_ns\": 990"), "{json}");
     }
 
     #[test]
-    fn json_objects_nest_and_escape() {
-        let inner = JsonObject::new().field("x", 1u64).build();
-        let json = JsonObject::new()
-            .field("name", "he said \"hi\"\n")
-            .field("rate", 12.5f64)
-            .field("inner", inner)
-            .build()
-            .to_string();
+    fn json_escapes_specials_and_keeps_unicode() {
+        let mut t = Table::new("E0 — \"q\" \\ path", &["a\tb", "‰"]);
+        t.row(&["1.2 µs".into(), "line\nbreak \u{1}".into()]);
+        t.row(&["✘".into(), String::new()]);
         assert_eq!(
-            json,
-            "{\"name\": \"he said \\\"hi\\\"\\n\", \"rate\": 12.500, \"inner\": {\"x\": 1}}"
+            t.to_json(),
+            r#"{"title": "E0 — \"q\" \\ path", "headers": ["a\tb", "‰"], "rows": [["1.2 µs", "line\nbreak \u0001"], ["✘", ""]]}"#
         );
     }
 

@@ -1,10 +1,13 @@
 //! Concurrency substrate for the Aspect Moderator framework.
 //!
 //! The ICDCS 2001 paper assumes the Java concurrency model: every object is
-//! a monitor with `synchronized` blocks, `wait()` and `notify()`. This crate
-//! provides the equivalent primitives for Rust, built on [`parking_lot`],
-//! plus the auxiliary machinery the aspect library and the benchmark
-//! harness need (ring buffers, schedulers, rate limiters, virtual clocks).
+//! a monitor with `synchronized` blocks, `wait()` and `notify()`. In this
+//! port the moderator's coordination cells play that role; this crate
+//! holds what they and the rest of the workspace build on: the ticketed
+//! FIFO grant discipline and the park/wake engines behind it, the task
+//! engine, plus the auxiliary machinery the aspect library and the
+//! benchmark harness need (ring buffers, schedulers, rate limiters,
+//! virtual clocks).
 //!
 //! Nothing in this crate knows about aspects; it is the layer *below* the
 //! framework, usable on its own.
@@ -12,16 +15,16 @@
 //! # Quick tour
 //!
 //! ```
-//! use amf_concurrency::{Monitor, Semaphore, RingBuffer};
+//! use amf_concurrency::{Grant, RingBuffer, TicketQueue};
 //!
-//! // A guarded-suspension monitor, the paper's wait/notify idiom.
-//! let m = Monitor::new(0_u32);
-//! m.with(|v| *v += 1);
-//! assert_eq!(m.with(|v| *v), 1);
-//!
-//! // A counting semaphore.
-//! let s = Semaphore::new(2);
-//! let _p = s.acquire();
+//! // The ticketed FIFO discipline: a broadcast wake sweeps the queue
+//! // in ticket order, so only the front ticket may evaluate first.
+//! let mut q = TicketQueue::new(false);
+//! let first = q.enqueue();
+//! let second = q.enqueue();
+//! q.wake_all();
+//! assert_eq!(q.grant_for(first), Some(Grant::Sweep));
+//! assert_eq!(q.grant_for(second), None);
 //!
 //! // A plain ring buffer (synchronization supplied externally, e.g. by
 //! // synchronization aspects).
@@ -36,27 +39,19 @@
 pub mod clock;
 pub mod engine;
 pub mod executor;
-pub mod latch;
-pub mod monitor;
 pub mod pool;
 pub mod rate;
 pub mod ring;
 pub mod scheduler;
-pub mod semaphore;
 pub mod task;
 pub mod ticket;
-pub mod wait_queue;
 
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use engine::{CondvarEngine, CondvarWaiter, GrantSource, Waiter};
 pub use executor::WorkerPool;
-pub use latch::CountdownLatch;
-pub use monitor::Monitor;
 pub use pool::ResourcePool;
 pub use rate::{RateLimiter, RateLimiterConfig};
-pub use ring::{RingBuffer, RingFullError, SyncRingBuffer};
+pub use ring::{RingBuffer, RingFullError};
 pub use scheduler::{Scheduler, SchedulerPolicy};
-pub use semaphore::{Semaphore, SemaphorePermit};
 pub use task::TaskEngine;
 pub use ticket::{Grant, TicketQueue};
-pub use wait_queue::{WaitQueue, WaitStatus};

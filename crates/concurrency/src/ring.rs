@@ -1,16 +1,12 @@
-//! Bounded ring buffers.
+//! A bounded ring buffer.
 //!
 //! [`RingBuffer`] is deliberately *not* thread-safe: in the Aspect
 //! Moderator architecture the functional component is a **sequential**
-//! object and all synchronization lives in aspects. [`SyncRingBuffer`] is
-//! the internally synchronized blocking variant used by the hand-tangled
-//! baselines and benchmarks.
+//! object and all synchronization lives in aspects.
 
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
-
-use parking_lot::{Condvar, Mutex};
 
 /// Error returned when pushing into a full [`RingBuffer`]; hands the
 /// rejected element back to the caller.
@@ -116,116 +112,9 @@ impl<T> RingBuffer<T> {
     }
 }
 
-#[derive(Debug)]
-struct SyncState<T> {
-    buf: RingBuffer<T>,
-    closed: bool,
-}
-
-/// An internally synchronized blocking bounded buffer (classic monitor
-/// implementation) used by the tangled baselines.
-///
-/// `push` blocks while full; `pop` blocks while empty; [`SyncRingBuffer::close`]
-/// releases all blocked consumers with `None` once drained.
-pub struct SyncRingBuffer<T> {
-    state: Mutex<SyncState<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-}
-
-impl<T> fmt::Debug for SyncRingBuffer<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.state.lock();
-        f.debug_struct("SyncRingBuffer")
-            .field("len", &st.buf.len())
-            .field("capacity", &st.buf.capacity())
-            .field("closed", &st.closed)
-            .finish()
-    }
-}
-
-impl<T> SyncRingBuffer<T> {
-    /// Creates an empty buffer holding at most `capacity` elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            state: Mutex::new(SyncState {
-                buf: RingBuffer::with_capacity(capacity),
-                closed: false,
-            }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-        }
-    }
-
-    /// Blocking push; waits while the buffer is full.
-    ///
-    /// Returns the value back if the buffer has been closed.
-    pub fn push(&self, value: T) -> Result<(), T> {
-        let mut st = self.state.lock();
-        loop {
-            if st.closed {
-                return Err(value);
-            }
-            if !st.buf.is_full() {
-                break;
-            }
-            self.not_full.wait(&mut st);
-        }
-        st.buf
-            .push_back(value)
-            .unwrap_or_else(|_| unreachable!("checked not full under lock"));
-        drop(st);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Blocking pop; waits while the buffer is empty. Returns `None` once
-    /// the buffer is closed *and* drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(v) = st.buf.pop_front() {
-                drop(st);
-                self.not_full.notify_one();
-                return Some(v);
-            }
-            if st.closed {
-                return None;
-            }
-            self.not_empty.wait(&mut st);
-        }
-    }
-
-    /// Current number of buffered elements.
-    pub fn len(&self) -> usize {
-        self.state.lock().buf.len()
-    }
-
-    /// Whether no elements are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Closes the buffer: pending and future `push`es fail, `pop` drains
-    /// then returns `None`.
-    pub fn close(&self) {
-        let mut st = self.state.lock();
-        st.closed = true;
-        drop(st);
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::thread;
 
     #[test]
     fn ring_fifo_order() {
@@ -267,72 +156,5 @@ mod tests {
         assert!(rb.is_full());
         rb.clear();
         assert!(rb.is_empty());
-    }
-
-    #[test]
-    fn sync_ring_blocks_producer_when_full() {
-        let b = Arc::new(SyncRingBuffer::with_capacity(1));
-        b.push(1).unwrap();
-        let producer = Arc::clone(&b);
-        let t = thread::spawn(move || producer.push(2));
-        thread::sleep(std::time::Duration::from_millis(10));
-        assert_eq!(b.len(), 1, "producer must be blocked");
-        assert_eq!(b.pop(), Some(1));
-        t.join().unwrap().unwrap();
-        assert_eq!(b.pop(), Some(2));
-    }
-
-    #[test]
-    fn sync_ring_blocks_consumer_when_empty() {
-        let b = Arc::new(SyncRingBuffer::<i32>::with_capacity(1));
-        let consumer = Arc::clone(&b);
-        let t = thread::spawn(move || consumer.pop());
-        thread::sleep(std::time::Duration::from_millis(10));
-        b.push(9).unwrap();
-        assert_eq!(t.join().unwrap(), Some(9));
-    }
-
-    #[test]
-    fn sync_ring_close_drains_then_none() {
-        let b = SyncRingBuffer::with_capacity(4);
-        b.push(1).unwrap();
-        b.push(2).unwrap();
-        b.close();
-        assert_eq!(b.push(3), Err(3));
-        assert_eq!(b.pop(), Some(1));
-        assert_eq!(b.pop(), Some(2));
-        assert_eq!(b.pop(), None);
-    }
-
-    #[test]
-    fn sync_ring_many_producers_consumers() {
-        let b = Arc::new(SyncRingBuffer::with_capacity(8));
-        let n_producers = 4;
-        let per_producer = 250;
-        let mut handles = Vec::new();
-        for p in 0..n_producers {
-            let b = Arc::clone(&b);
-            handles.push(thread::spawn(move || {
-                for i in 0..per_producer {
-                    b.push(p * per_producer + i).unwrap();
-                }
-            }));
-        }
-        let consumer = Arc::clone(&b);
-        let c = thread::spawn(move || {
-            let mut got = Vec::new();
-            while let Some(v) = consumer.pop() {
-                got.push(v);
-            }
-            got
-        });
-        for h in handles {
-            h.join().unwrap();
-        }
-        b.close();
-        let mut got = c.join().unwrap();
-        got.sort_unstable();
-        let expected: Vec<usize> = (0..n_producers * per_producer).collect();
-        assert_eq!(got, expected);
     }
 }

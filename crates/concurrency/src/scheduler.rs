@@ -45,9 +45,8 @@ impl<T: Eq> PartialOrd for Entry<T> {
 
 /// A queue of pending requests drained according to a [`SchedulerPolicy`].
 ///
-/// Not internally synchronized; wrap in a
-/// [`Monitor`](crate::Monitor) (or use it from inside an aspect, which
-/// already runs under the moderator's lock).
+/// Not internally synchronized; use it from inside an aspect, which
+/// already runs under the moderator's lock, or behind a mutex.
 ///
 /// ```
 /// use amf_concurrency::{Scheduler, SchedulerPolicy};

@@ -2,11 +2,11 @@
 //!
 //! [`TicketQueue`] is the one ticketed first-in-first-out state machine
 //! in the workspace: pure queue *state*, no parking. Callers hold their
-//! own lock (a coordination cell's mutex in `amf-core`, the
-//! [`WaitQueue`]'s own mutex here) and drive the queue through its
-//! transitions; a separate [`Waiter`](crate::Waiter) engine does the
-//! actual parking. That split is what lets the same discipline back a
-//! blocking condition queue today and an async grant engine later.
+//! own lock (a coordination cell's mutex in `amf-core`) and drive the
+//! queue through its transitions; a separate [`Waiter`](crate::Waiter)
+//! engine does the actual parking. That split is what lets the same
+//! discipline back a blocking condition queue today and an async grant
+//! engine later.
 //!
 //! Wake permits are *state* — pending signals and broadcast sweeps —
 //! rather than bare condvar pulses, so a notification landing while a
@@ -31,8 +31,6 @@
 //! no-overtake (model-checked in `amf-verify`, where the
 //! `split_batch_overtake` ablation shows what goes wrong without the
 //! cursor).
-//!
-//! [`WaitQueue`]: crate::WaitQueue
 
 use std::collections::VecDeque;
 

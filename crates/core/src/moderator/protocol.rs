@@ -680,7 +680,14 @@ impl AspectModerator {
                 ChainOutcome::Blocked { released } => {
                     match ticket {
                         Some(t) => {
-                            state.queues[slot].settle(t, grant, false);
+                            let q = &mut state.queues[slot];
+                            q.settle(t, grant, false);
+                            // A sweep's cursor moved on to a successor,
+                            // which may have re-parked after the broadcast
+                            // that started the sweep: wake it.
+                            if q.has_pending() && q.has_waiters() {
+                                r.point.wake_all();
+                            }
                         }
                         None => {
                             r.lane.close();

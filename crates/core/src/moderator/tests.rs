@@ -10,10 +10,10 @@ use crate::trace::{EventKind, MemoryTrace};
 use crate::verdict::Verdict;
 use parking_lot::Mutex;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn ctx_for(moderator: &AspectModerator, m: &MethodHandle) -> InvocationContext {
     InvocationContext::new(m.id().clone(), moderator.next_invocation())
@@ -122,20 +122,65 @@ fn blocked_caller_resumes_after_postactivation() {
 
 #[test]
 fn timeout_aborts_blocked_caller() {
-    let m = AspectModerator::new();
-    let open = m.declare_method(MethodId::new("open"));
-    m.register(
-        &open,
-        Concern::synchronization(),
-        Box::new(FnAspect::new("never").on_precondition(|_| Verdict::Block)),
-    )
-    .unwrap();
-    let mut ctx = ctx_for(&m, &open);
-    let err = m
-        .preactivation_timeout(&open, &mut ctx, Duration::from_millis(20))
-        .unwrap_err();
-    assert!(err.is_timeout());
-    assert_eq!(m.stats().timeouts, 1);
+    // The second case is a Fifo caller under steady NotifyAll churn:
+    // every broadcast re-evaluates and re-blocks it, and its deadline
+    // must stay absolute instead of restarting on each wake.
+    for churn in [false, true] {
+        let m = if churn {
+            AspectModerator::builder()
+                .fairness(FairnessPolicy::Fifo)
+                .wake_mode(WakeMode::NotifyAll)
+                .build()
+        } else {
+            AspectModerator::new()
+        };
+        let open = m.declare_method(MethodId::new("open"));
+        let poke = m.declare_method(MethodId::new("poke"));
+        m.wire_wakes(&poke, std::slice::from_ref(&open));
+        m.register(
+            &open,
+            Concern::synchronization(),
+            Box::new(FnAspect::new("never").on_precondition(|_| Verdict::Block)),
+        )
+        .unwrap();
+        let done = AtomicBool::new(false);
+        let (err, waited) = thread::scope(|s| {
+            if churn {
+                s.spawn(|| {
+                    while m.stats().blocks == 0 {
+                        thread::yield_now();
+                    }
+                    // A wake every 5 ms for up to 3 s, far past the
+                    // 100 ms timeout.
+                    for _ in 0..600 {
+                        if done.load(AtomicOrdering::SeqCst) {
+                            break;
+                        }
+                        let mut ctx = ctx_for(&m, &poke);
+                        m.preactivation(&poke, &mut ctx).unwrap();
+                        m.postactivation(&poke, &mut ctx);
+                        thread::sleep(Duration::from_millis(5));
+                    }
+                });
+            }
+            let start = Instant::now();
+            let mut ctx = ctx_for(&m, &open);
+            let err = m
+                .preactivation_timeout(&open, &mut ctx, Duration::from_millis(100))
+                .unwrap_err();
+            done.store(true, AtomicOrdering::SeqCst);
+            (err, start.elapsed())
+        });
+        assert!(err.is_timeout());
+        assert_eq!(m.stats().timeouts, 1);
+        assert!(
+            waited < Duration::from_millis(1_500),
+            "timeout restarted under churn: waited {waited:?}"
+        );
+        if churn {
+            assert!(m.stats().blocks > 1, "churn never re-evaluated the caller");
+        }
+    }
 }
 
 #[test]

@@ -172,6 +172,94 @@ fn fifo_newcomer_cannot_overtake_parked_waiter() {
     );
 }
 
+/// Deterministic witness of an open fairness defect (the
+/// `properties_fairness` NotifyAll inversions). A broadcast sweep gives
+/// each ticket one evaluation in ticket order, but the gate's state is
+/// changed by another cell's postaction outside this cell's lock. A
+/// token minted between two sweep steps therefore goes to the ticket at
+/// the cursor, although the earlier ticket re-blocked only because it
+/// evaluated first. The gate mints right before the second ticket's
+/// sweep evaluation, where `tick`'s postaction can land. The assertion
+/// records today's order, so a protocol fix must flip it.
+///
+/// The second ticket must also be woken when the cursor reaches it: it
+/// may have re-parked after the broadcast before the head re-blocked,
+/// and a sweep that stalled there would never grant it.
+#[test]
+fn token_minted_mid_sweep_goes_to_the_cursor_not_the_head() {
+    let m = Arc::new(
+        AspectModerator::builder()
+            .fairness(FairnessPolicy::Fifo)
+            .wake_mode(WakeMode::NotifyAll)
+            .build(),
+    );
+    let tokens = Arc::new(AtomicU64::new(0));
+    let mint_before = Arc::new(AtomicU64::new(u64::MAX));
+    let open = m.declare_method(MethodId::new("open"));
+    let poke = m.declare_method(MethodId::new("poke"));
+    {
+        let (tokens, mint_before) = (Arc::clone(&tokens), Arc::clone(&mint_before));
+        m.register(
+            &open,
+            Concern::synchronization(),
+            Box::new(FnAspect::new("token-gate").on_precondition(move |ctx| {
+                let id = ctx.invocation();
+                if mint_before
+                    .compare_exchange(id, u64::MAX, AtomicOrdering::SeqCst, AtomicOrdering::SeqCst)
+                    .is_ok()
+                {
+                    tokens.fetch_add(1, AtomicOrdering::SeqCst);
+                }
+                if tokens.load(AtomicOrdering::SeqCst) > 0 {
+                    tokens.fetch_sub(1, AtomicOrdering::SeqCst);
+                    Verdict::Resume
+                } else {
+                    Verdict::Block
+                }
+            })),
+        )
+        .unwrap();
+    }
+    m.wire_wakes(&poke, std::slice::from_ref(&open));
+    let wake_open = || {
+        let mut ctx = ctx_for(&m, &poke);
+        m.preactivation(&poke, &mut ctx).unwrap();
+        m.postactivation(&poke, &mut ctx);
+    };
+    let (done_tx, done) = std::sync::mpsc::channel();
+    let (mut parked, mut callers) = (Vec::new(), Vec::new());
+    for blocks in 1..=2 {
+        let (mc, open, done_tx) = (Arc::clone(&m), open.clone(), done_tx.clone());
+        let mut ctx = ctx_for(&m, &open);
+        parked.push(ctx.invocation());
+        callers.push(thread::spawn(move || {
+            mc.preactivation(&open, &mut ctx).unwrap();
+            mc.postactivation(&open, &mut ctx);
+            done_tx.send(ctx.invocation()).unwrap();
+        }));
+        while m.stats().blocks < blocks {
+            thread::yield_now();
+        }
+    }
+    let granted_next = || {
+        done.recv_timeout(Duration::from_secs(10))
+            .expect("sweep stalled")
+    };
+    // One sweep: the head re-blocks on zero tokens, then the mint lands
+    // and the second ticket takes it.
+    mint_before.store(parked[1], AtomicOrdering::SeqCst);
+    wake_open();
+    let first = granted_next();
+    // A fresh token and sweep release the head.
+    tokens.fetch_add(1, AtomicOrdering::SeqCst);
+    wake_open();
+    let second = granted_next();
+    assert_eq!([first, second], [parked[1], parked[0]], "grant order");
+    for caller in callers {
+        caller.join().unwrap();
+    }
+}
+
 #[test]
 fn fifo_try_preactivation_respects_queue() {
     let m = Arc::new(

@@ -1,5 +1,5 @@
 //! Blocking client for the ticket service, plus a multi-threaded load
-//! generator used by the `loadgen` binary and the end-to-end tests.
+//! generator used by experiment E17 and the end-to-end tests.
 
 use std::fmt;
 use std::io::{self, BufReader, BufWriter};

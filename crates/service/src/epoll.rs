@@ -69,6 +69,14 @@ pub(crate) fn epoll_mod(ep: i32, fd: i32, events: u32, data: u64) {
     unsafe { epoll_ctl(ep, EPOLL_CTL_MOD, fd, &mut ev) };
 }
 
+/// Whether an `accept` failed because the process or the system ran
+/// out of file descriptors (EMFILE / ENFILE). The pending connection
+/// stays queued, so a level-triggered listener would report it ready
+/// again at once: callers stop polling the listener until an fd frees.
+pub(crate) fn out_of_fds(e: &io::Error) -> bool {
+    matches!(e.raw_os_error(), Some(23 | 24))
+}
+
 /// Stops watching `fd`.
 pub(crate) fn epoll_del(ep: i32, fd: i32) {
     // SAFETY: `EPOLL_CTL_DEL` ignores the event pointer, which may be

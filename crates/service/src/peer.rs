@@ -444,6 +444,7 @@ impl PeerNode {
             links: BTreeMap::new(),
             next_token: FIRST_INBOUND_TOKEN,
             retry_at: Duration::ZERO,
+            accept_paused: false,
         };
         let (s, m) = (Arc::clone(&shared), Arc::clone(&moderator));
         let threads = vec![
@@ -614,6 +615,9 @@ struct IoLoop {
     /// one, so a successor that accepts and closes at once is not
     /// redialled in a tight loop.
     retry_at: Duration,
+    /// The listener is unwatched after `accept` ran out of fds; the next
+    /// close re-arms it.
+    accept_paused: bool,
 }
 
 impl IoLoop {
@@ -693,7 +697,19 @@ impl IoLoop {
     }
 
     fn accept(&mut self) {
-        while let Ok((stream, _)) = self.listener.accept() {
+        loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    if epoll::out_of_fds(&e) {
+                        let fd = self.listener.as_raw_fd();
+                        epoll::epoll_mod(self.ep.as_raw_fd(), fd, 0, TOK_LISTENER);
+                        self.accept_paused = true;
+                    }
+                    return;
+                }
+            };
             let token = self.next_token;
             self.next_token += 1;
             let Ok(mut link) = Link::new(stream, self.ep.as_raw_fd(), token) else {
@@ -748,6 +764,11 @@ impl IoLoop {
         if let Some(link) = self.links.remove(&token) {
             epoll::epoll_del(self.ep.as_raw_fd(), link.stream.as_raw_fd());
             self.shared.core.lock().stalled_drops += u64::from(stalled);
+            drop(link); // frees the fd before the listener is re-armed
+            if std::mem::take(&mut self.accept_paused) {
+                let fd = self.listener.as_raw_fd();
+                epoll::epoll_mod(self.ep.as_raw_fd(), fd, EPOLLIN, TOK_LISTENER);
+            }
         }
     }
 

@@ -147,6 +147,9 @@ struct Reactor {
     waker: Arc<ReactorWaker>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
+    /// The listener is unwatched after `accept` ran out of fds; the next
+    /// close (or idle heartbeat) re-arms it.
+    accept_paused: bool,
 }
 
 /// Binds the epoll instance and the eventfd, registers the listener
@@ -174,6 +177,7 @@ pub(crate) fn spawn(
         waker: Arc::clone(&waker),
         conns: HashMap::new(),
         next_token: FIRST_CONN_TOKEN,
+        accept_paused: false,
     };
     let handle = std::thread::Builder::new()
         .name("amf-service-reactor".into())
@@ -194,6 +198,9 @@ impl Reactor {
             let Ok(n) = epoll::wait(&self.ep, &mut events, WAIT_TICK_MS) else {
                 break;
             };
+            if n == 0 {
+                self.resume_accept();
+            }
             for ev in &events[..n] {
                 let (bits, data) = (ev.events, ev.data);
                 match data {
@@ -239,8 +246,22 @@ impl Reactor {
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(ref e) if epoll::out_of_fds(e) => {
+                    let fd = self.listener.as_raw_fd();
+                    epoll::epoll_mod(self.ep.as_raw_fd(), fd, 0, TOK_LISTENER);
+                    self.accept_paused = true;
+                    break;
+                }
                 Err(_) => break,
             }
+        }
+    }
+
+    /// Re-arms a listener paused on fd exhaustion.
+    fn resume_accept(&mut self) {
+        if std::mem::take(&mut self.accept_paused) {
+            let fd = self.listener.as_raw_fd();
+            epoll::epoll_mod(self.ep.as_raw_fd(), fd, EPOLLIN, TOK_LISTENER);
         }
     }
 
@@ -438,6 +459,8 @@ impl Reactor {
         if let Some(conn) = self.conns.remove(&token) {
             epoll::epoll_del(self.ep.as_raw_fd(), conn.stream.as_raw_fd());
             self.shared.open_connections.fetch_sub(1, Ordering::SeqCst);
+            drop(conn); // frees the fd before the listener is re-armed
+            self.resume_accept();
         }
     }
 }
