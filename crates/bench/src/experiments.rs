@@ -201,31 +201,37 @@ pub fn e4_bank(quick: bool) -> Table {
         ],
     );
     let method_counts: &[usize] = if quick { &[4, 64] } else { &[4, 64, 1024] };
+    // Declares `methods` methods with `concerns` aspects each; returns
+    // the moderator, the registration time and the hot method (the
+    // last-declared, worst case for naive scans).
+    let build = |methods: usize, concerns: usize| {
+        let moderator = AspectModerator::shared();
+        let reg_start = Instant::now();
+        let mut hot = None;
+        for m in 0..methods {
+            let h = moderator.declare_method(MethodId::new(format!("m{m}")));
+            for c in 0..concerns {
+                moderator
+                    .register(&h, Concern::new(format!("c{c}")), Box::new(NoopAspect))
+                    .unwrap();
+            }
+            hot = Some(h);
+        }
+        (moderator, reg_start.elapsed(), hot.expect("methods > 0"))
+    };
     for &methods in method_counts {
         for concerns in [1_usize, 8] {
-            let moderator = AspectModerator::shared();
-            let reg_start = Instant::now();
-            let mut handles = Vec::with_capacity(methods);
-            for m in 0..methods {
-                let h = moderator.declare_method(MethodId::new(format!("m{m}")));
-                for c in 0..concerns {
-                    moderator
-                        .register(&h, Concern::new(format!("c{c}")), Box::new(NoopAspect))
-                        .unwrap();
-                }
-                handles.push(h);
-            }
-            let reg_total = reg_start.elapsed();
-            let proxy = Moderated::new(0_u64, Arc::clone(&moderator));
-            // Hot cell: the last-declared method (worst case for naive
-            // scans).
-            let hot = handles.last().unwrap().clone();
+            let (moderator, reg_total, hot) = build(methods, concerns);
+            let proxy = Moderated::new(0_u64, moderator);
             let broadcast_ns = time_ns_per_op(invoke_iters, || {
                 proxy.invoke(&hot, |c| *c += 1).unwrap();
             });
             // Wiring the wake graph makes completion cost O(1) in the
-            // number of methods.
+            // number of methods. Groups form before the first
+            // invocation, so the wired run gets its own moderator.
+            let (moderator, _, hot) = build(methods, concerns);
             moderator.wire_wakes(&hot, std::slice::from_ref(&hot));
+            let proxy = Moderated::new(0_u64, moderator);
             let wired_ns = time_ns_per_op(invoke_iters, || {
                 proxy.invoke(&hot, |c| *c += 1).unwrap();
             });
@@ -572,13 +578,15 @@ pub fn e8_adaptability(quick: bool) -> Table {
 ///
 /// `noisy_neighbor` adds the service's background coordination traffic
 /// around the measured methods: four callers parked on a gated method
-/// (consumers waiting on an empty queue) and one ticker whose
-/// post-activations keep the seed's default broadcast wiring
-/// (`WakeTargets::All`), so every tick wakes the parked callers and
-/// each re-evaluates its I/O-guarded precondition before re-blocking.
-/// The topology is identical in both modes — only [`Coordination`]
-/// differs: the global lock serializes that churn with the measured
-/// methods, sharded cells confine it to the gated method's own cell.
+/// (consumers waiting on an empty queue) and one ticker wired to wake
+/// the gated method, so every tick wakes the parked callers and each
+/// re-evaluates its I/O-guarded precondition before re-blocking. The
+/// topology is identical in both modes — only [`Coordination`] differs:
+/// the global lock serializes that churn with the measured methods,
+/// sharded cells confine it to the ticker and gated method's own
+/// coordination group. (Left on the default broadcast wiring, the
+/// ticker would join every group and `Sharded` would collapse into one
+/// cell.)
 /// Returns measured activations per second (background ops excluded).
 pub fn run_moderator_shard(
     coordination: Coordination,
@@ -636,7 +644,8 @@ pub fn run_moderator_shard(
         moderator
             .register(&tick, Concern::new("audit"), Box::new(io_aspect()))
             .unwrap();
-        // `tick` keeps the default broadcast wiring: no `wire_wakes`.
+        moderator.wire_wakes(&tick, std::slice::from_ref(&gated));
+        moderator.wire_wakes(&gated, &[]);
         (gated, tick)
     });
 
@@ -754,12 +763,13 @@ pub fn e9_sharding(quick: bool) -> Table {
 /// Per-activation `open` latency through a capacity-1 gated buffer
 /// hammered by `producers` threads under `fairness`, with one consumer
 /// draining it. `noisy` adds the E9-style background churn: four
-/// callers parked on a closed gate plus a ticker that keeps the seed's
-/// default broadcast wiring, so every tick spuriously wakes the
-/// measured queues and each parked producer re-evaluates before
-/// re-blocking — the regime where a barging queue can starve a waiter
-/// (every freed slot is contested by fresh arrivals) while a ticketed
-/// queue bounds everyone's wait by queue length.
+/// callers parked on a closed gate plus a ticker wired to the measured
+/// queues and the gate, paced outside the moderator, so every tick
+/// spuriously wakes the measured queues and each parked producer
+/// re-evaluates before re-blocking — the regime where a barging queue
+/// can starve a waiter (every freed slot is contested by fresh
+/// arrivals) while a ticketed queue bounds everyone's wait by queue
+/// length.
 ///
 /// Returns the digest of every producer activation's wall-clock latency
 /// (preactivation through postactivation, parked time included).
@@ -846,21 +856,10 @@ pub fn run_fairness_tail(
                 })),
             )
             .unwrap();
-        // The same audit-fsync shape as E9's background paces the
-        // ticker (~5K broadcasts/s): churn on the measured queues, not
-        // saturation of their cell locks.
-        moderator
-            .register(
-                &tick,
-                Concern::new("audit"),
-                Box::new(FnAspect::new("audit-io").on_precondition(move |_| {
-                    std::thread::sleep(Duration::from_micros(200));
-                    Verdict::Resume
-                })),
-            )
-            .unwrap();
-        // `tick` keeps the default broadcast wiring: every completion
-        // notifies all cells, including the measured buffer's queues.
+        // Every tick notifies the measured buffer's queues and the gate,
+        // so the ticker shares their coordination group.
+        moderator.wire_wakes(&tick, &[open.clone(), take.clone(), gated.clone()]);
+        moderator.wire_wakes(&gated, &[]);
         (gated, tick)
     });
 
@@ -884,6 +883,11 @@ pub fn run_fairness_tail(
             s.spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     one_op(tick);
+                    // The same 200 µs audit-fsync shape as E9's
+                    // background paces the ticker (~5K wakes/s), but
+                    // outside the moderator: churn on the measured
+                    // queues, not saturation of their cell lock.
+                    std::thread::sleep(Duration::from_micros(200));
                 }
             });
         }

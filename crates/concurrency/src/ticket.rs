@@ -10,9 +10,9 @@
 //!
 //! Wake permits are *state* — pending signals and broadcast sweeps —
 //! rather than bare condvar pulses, so a notification landing while a
-//! waiter's lock is released (e.g. during the moderator's rollback
-//! notification) is retained instead of lost. The wake primitive only
-//! says "queue state changed, re-check"; eligibility lives here.
+//! waiter is parked is retained for the ticket it names instead of
+//! going to whichever thread wakes first. The wake primitive only says
+//! "queue state changed, re-check"; eligibility lives here.
 //!
 //! # Batched grants
 //!
@@ -47,10 +47,6 @@ pub enum Grant {
     /// The ticket is the queue head and a single-waiter signal is
     /// pending.
     Signal,
-    /// An out-of-band re-evaluation granted by the caller itself (the
-    /// moderator's rollback-recheck backstop). Settling consumes
-    /// nothing.
-    Backstop,
 }
 
 /// An active sweep: every ticket in `cursor..end` gets one evaluation
@@ -184,7 +180,7 @@ impl TicketQueue {
         match grant {
             Grant::Sweep => self.advance_sweep(ticket),
             Grant::Signal => self.signals -= 1,
-            Grant::First | Grant::Backstop => {}
+            Grant::First => {}
         }
         if leaving {
             self.remove(ticket);

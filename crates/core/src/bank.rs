@@ -10,13 +10,13 @@
 //! aspects in registration order (the order the moderator composes them
 //! in).
 //!
-//! Since the moderator's coordination state was sharded into per-method
-//! cells, the moderator no longer holds one bank for the whole system:
-//! each coordination cell owns a bank holding the rows it coordinates
-//! (one row per cell under [`Coordination::Sharded`], every row in the
-//! single shared cell under [`Coordination::GlobalLock`]). A method's
-//! chain is therefore guarded by its cell's lock alone, which is what
-//! lets disjoint methods evaluate their chains concurrently. The bank
+//! The moderator does not hold one bank for the whole system: each
+//! coordination cell owns a bank holding the rows of its coordination
+//! group (the methods joined by wake wiring under
+//! [`Coordination::Sharded`], every row in the single shared cell under
+//! [`Coordination::GlobalLock`]). A method's chain is therefore guarded
+//! by its group's lock alone, which is what lets methods of disjoint
+//! groups evaluate their chains concurrently. The bank
 //! itself stays single-threaded and lock-free; whoever owns it provides
 //! the exclusion, exactly as the moderator's cells do.
 //!
@@ -258,6 +258,22 @@ impl AspectBank {
     /// moderator's evaluation loop.
     pub(crate) fn row_mut(&mut self, method: MethodIndex) -> &mut MethodRow {
         &mut self.rows[method.0]
+    }
+
+    /// Removes every row, in index order — for a coordination cell whose
+    /// rows move into another cell's bank.
+    pub(crate) fn into_rows(self) -> Vec<MethodRow> {
+        self.rows
+    }
+
+    /// Appends a row taken from another bank (see
+    /// [`AspectBank::into_rows`]), keeping its aspects and cached
+    /// eligibility.
+    pub(crate) fn adopt(&mut self, row: MethodRow) -> MethodIndex {
+        let ix = self.rows.len();
+        self.by_id.insert(row.id.clone(), ix);
+        self.rows.push(row);
+        MethodIndex(ix)
     }
 
     /// Mutable access to one aspect, for callers that need to inspect or

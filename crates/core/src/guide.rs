@@ -143,6 +143,14 @@
 //! wiring: a queue nobody notifies is a lost-wakeup deadlock the model
 //! checker finds mechanically.
 //!
+//! Wiring also **declares shared state and merges locks**: a method and
+//! the methods it wakes form one coordination group behind one lock, so
+//! a postaction and the notify it owes are one atomic step. Methods in
+//! different groups run in parallel; a method left on the default
+//! wiring joins every group. Declare and wire every method before the
+//! first invocation — a rewiring that would move an invoked method into
+//! another group panics.
+//!
 //! ## 7. Testing aspects
 //!
 //! Aspects are plain objects — unit-test them without any moderator by

@@ -1,14 +1,15 @@
 //! Coordination cells and the method registry.
 //!
-//! Each declared method owns a *cell* — a mutex guarding its aspect
-//! chain, wake wiring, FIFO queue and fault bookkeeping — plus a
+//! Each *coordination group* — the methods joined by wake wiring —
+//! owns a *cell*: a mutex guarding its members' aspect chains, wake
+//! wiring, FIFO queues and fault bookkeeping. Each method keeps its own
 //! [`Waiter`] waitpoint supplied by the moderator's [`GrantSource`]
 //! engine and a shard of atomic counters. Under
 //! [`Coordination::GlobalLock`](super::Coordination::GlobalLock) every
-//! method shares one cell. Lock ordering is `registry → at most one
-//! cell` (see the module docs in [`super`]).
+//! method shares one cell. Lock ordering is `registry → one group cell`
+//! (see the module docs in [`super`]).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -21,7 +22,7 @@ use super::queue::{refresh_lane, wake_queue, WakeTargets};
 use super::stats::StatShard;
 use super::{AspectModerator, Coordination, FairnessPolicy, WakeMode};
 use crate::aspect::Aspect;
-use crate::bank::{AspectBank, MethodIndex};
+use crate::bank::{AspectBank, MethodIndex, MethodRow};
 use crate::concern::{Concern, MethodId};
 use crate::error::RegistrationError;
 use crate::factory::AspectFactory;
@@ -193,48 +194,44 @@ impl FastLane {
     }
 }
 
-/// The mutable coordination state of one cell: the aspect rows (an
-/// [`AspectBank`] with one row per hosted method — exactly one under
-/// [`Coordination::Sharded`]) and each hosted method's wake wiring.
+/// The mutable coordination state of one cell: the aspect rows of its
+/// coordination group (an [`AspectBank`]) and, parallel to them, each
+/// hosted method's wait state.
+#[derive(Default)]
 pub struct CellState {
     pub(super) bank: AspectBank,
-    /// Wake targets per local bank row, parallel to the bank's rows.
-    pub(super) wakes: Vec<WakeTargets>,
-    /// Ticketed FIFO wait state per local bank row, parallel to the
-    /// bank's rows (the workspace-shared discipline from
-    /// `amf-concurrency`). Unused (never enqueued into) under
-    /// [`FairnessPolicy::Barging`].
-    pub(super) queues: Vec<TicketQueue>,
-    /// Per-slot panic bookkeeping, keyed by concern, parallel to the
-    /// bank's rows. Empty under
-    /// [`PanicPolicy::Propagate`](super::PanicPolicy::Propagate).
-    pub(super) faults: Vec<HashMap<Concern, SlotFault>>,
-    /// Callers parked on each row's waitpoint *outside* the ticket
-    /// queue (the barging discipline parks without enqueueing), parallel
-    /// to the bank's rows. Together with `queues[slot].has_pending()`
-    /// this is the "no waiters" half of the fast-lane predicate.
-    pub(super) parked: Vec<u32>,
+    /// Per local bank row: wiring, queue, faults and waitpoint.
+    pub(super) rows: Vec<RowState>,
 }
 
-/// One coordination cell: the lock guarding a method's chain, wake
-/// wiring and blocked callers. Under [`Coordination::GlobalLock`] a
-/// single cell hosts every method.
+/// The wait-side state of one hosted method, parallel to its bank row.
+pub(super) struct RowState {
+    /// Which rows of this cell the method's post-activation notifies,
+    /// compiled from the registry's wiring into local row indices.
+    pub(super) wakes: WakeTargets,
+    /// Ticketed FIFO wait state (the workspace-shared discipline from
+    /// `amf-concurrency`). Never enqueued into under
+    /// [`FairnessPolicy::Barging`].
+    pub(super) queue: TicketQueue,
+    /// Per-slot panic bookkeeping, keyed by concern. Empty under
+    /// [`PanicPolicy::Propagate`](super::PanicPolicy::Propagate).
+    pub(super) faults: HashMap<Concern, SlotFault>,
+    /// Callers parked on the waitpoint *outside* the ticket queue (the
+    /// barging discipline parks without enqueueing). Together with
+    /// `queue.has_pending()` this is the "no waiters" half of the
+    /// fast-lane predicate.
+    pub(super) parked: u32,
+    /// Where the method's callers park (the registry entry's `point`),
+    /// so a notification reaches it without leaving the cell.
+    pub(super) point: Arc<dyn Waiter<CellState>>,
+}
+
+/// One coordination cell: the lock guarding a coordination group's
+/// chains, wake wiring and blocked callers. Under
+/// [`Coordination::GlobalLock`] a single cell hosts every method.
+#[derive(Default)]
 pub(super) struct Cell {
     pub(super) state: Mutex<CellState>,
-}
-
-impl Cell {
-    fn new() -> Arc<Self> {
-        Arc::new(Self {
-            state: Mutex::new(CellState {
-                bank: AspectBank::new(),
-                wakes: Vec::new(),
-                queues: Vec::new(),
-                faults: Vec::new(),
-                parked: Vec::new(),
-            }),
-        })
-    }
 }
 
 /// Registry entry for one declared method: which cell hosts it, at which
@@ -244,6 +241,9 @@ pub(super) struct MethodEntry {
     pub(super) cell: Arc<Cell>,
     /// The method's row index inside its cell's bank.
     pub(super) slot: MethodIndex,
+    /// The declared wake wiring, in registry indices; the cell holds the
+    /// compiled copy.
+    wiring: WakeTargets,
     /// Where this method's callers park; engine-supplied, so the
     /// protocol never names a concrete parking primitive.
     pub(super) point: Arc<dyn Waiter<CellState>>,
@@ -253,16 +253,15 @@ pub(super) struct MethodEntry {
 }
 
 /// The read-mostly method registry. Write-locked only by
-/// `declare_method`; locked-path operations read-lock it briefly to
-/// clone the `Arc`s out and then operate on the cell alone, while the
-/// fast lane admits and releases entirely under the read guard
-/// (`admit_fast` in `protocol.rs`) without touching a reference count.
+/// `declare_method` and `wire_wakes`, which repartition the cells;
+/// locked-path invocations read-lock it briefly to clone the `Arc`s out
+/// and then operate on the cell alone, while the fast lane admits and
+/// releases entirely under the read guard (`admit_fast` in
+/// `protocol.rs`) without touching a reference count.
 #[derive(Default)]
 pub(super) struct Registry {
     pub(super) entries: Vec<MethodEntry>,
     pub(super) by_id: HashMap<MethodId, usize>,
-    /// The one shared cell under [`Coordination::GlobalLock`].
-    shared_cell: Option<Arc<Cell>>,
 }
 
 impl Registry {
@@ -287,6 +286,13 @@ pub(super) struct Resolved {
     pub(super) lane: Arc<FastLane>,
 }
 
+/// One coordination group of a repartition plan: its members (registry
+/// indices, ascending) and the existing cell kept as its host, if any.
+struct Group {
+    members: Vec<usize>,
+    host: Option<Arc<Cell>>,
+}
+
 impl AspectModerator {
     /// Clones a method's coordination handles out of the registry.
     ///
@@ -306,7 +312,33 @@ impl AspectModerator {
         }
     }
 
+    /// Runs `f` on `method`'s cell under the registry read guard, so no
+    /// repartition can move the row while `f` runs (lock order
+    /// `registry → one group cell`). The administrative operations use
+    /// this; invocations use [`resolve`](Self::resolve), which is safe
+    /// because an invoked method is never moved.
+    pub(super) fn with_row<R>(
+        &self,
+        method: &MethodHandle,
+        f: impl FnOnce(&mut CellState, &MethodEntry) -> R,
+    ) -> R {
+        let registry = self.registry.read();
+        registry.check(method);
+        let entry = &registry.entries[method.index.as_usize()];
+        let mut state = entry.cell.state.lock();
+        f(&mut state, entry)
+    }
+
     /// Declares a participating method; idempotent.
+    ///
+    /// The new method starts on the default broadcast wiring, so under
+    /// [`Coordination::Sharded`] it joins every coordination group (see
+    /// [`wire_wakes`](Self::wire_wakes)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if merging the groups would move a method that has
+    /// already been invoked (declare every method before invoking any).
     pub fn declare_method(&self, id: MethodId) -> MethodHandle {
         let mut registry = self.registry.write();
         if let Some(&ix) = registry.by_id.get(&id) {
@@ -315,30 +347,32 @@ impl AspectModerator {
                 id,
             };
         }
-        let cell = match self.coordination {
-            Coordination::Sharded => Cell::new(),
-            Coordination::GlobalLock => {
-                if registry.shared_cell.is_none() {
-                    registry.shared_cell = Some(Cell::new());
-                }
-                Arc::clone(registry.shared_cell.as_ref().expect("just seeded"))
-            }
-        };
+        // The default broadcast wiring keeps the new method's fast lane
+        // closed (`FastLane::new` starts closed): a method whose
+        // completion may wake other queues cannot skip its
+        // post-activation notify. `wire_wakes(m, &[])` plus an
+        // all-capable chain opens it.
+        let point = self.engine.waiter();
+        // When every method already shares one cell, the new broadcast-
+        // wired method simply joins it and nothing moves: the common
+        // case, kept linear in the number of methods.
+        let shared = registry
+            .entries
+            .first()
+            .map(|e| &e.cell)
+            .filter(|c| registry.entries.iter().all(|e| Arc::ptr_eq(&e.cell, c)));
+        let joins = shared.is_some();
+        let cell = shared.cloned().unwrap_or_default();
         let slot = {
             let mut state = cell.state.lock();
-            let slot = state.bank.declare(id.clone());
-            if state.wakes.len() < state.bank.method_count() {
-                // The default broadcast wiring keeps the new method's
-                // fast lane closed (`FastLane::new` starts closed): a
-                // method whose completion may wake other queues cannot
-                // skip its post-activation notify. `wire_wakes(m, &[])`
-                // plus an all-capable chain opens it.
-                state.wakes.push(WakeTargets::All);
-                state.queues.push(TicketQueue::new(self.grant_batching));
-                state.faults.push(HashMap::new());
-                state.parked.push(0);
-            }
-            slot
+            state.rows.push(RowState {
+                wakes: WakeTargets::All,
+                queue: TicketQueue::new(self.grant_batching),
+                faults: HashMap::new(),
+                parked: 0,
+                point: Arc::clone(&point),
+            });
+            state.bank.declare(id.clone())
         };
         let ix = registry.entries.len();
         registry.by_id.insert(id.clone(), ix);
@@ -346,14 +380,159 @@ impl AspectModerator {
             id: id.clone(),
             cell,
             slot,
-            point: self.engine.waiter(),
+            wiring: WakeTargets::All,
+            point,
             stats: Arc::new(StatShard::default()),
             lane: Arc::new(FastLane::new()),
         });
+        let moved = if joins {
+            Ok(())
+        } else {
+            self.repartition(&mut registry)
+        };
+        if let Err(moved) = moved {
+            let entry = registry.entries.pop().expect("just pushed");
+            registry.by_id.remove(&entry.id);
+            drop(registry);
+            panic!("declaring `{}` would move invoked method `{moved}` into another coordination group; declare every method before invoking any", entry.id);
+        }
         MethodHandle {
             index: MethodIndex(ix),
             id,
         }
+    }
+
+    /// Each method's coordination group, named by its smallest registry
+    /// index: the connected components of the wake-wiring graph. A
+    /// method still on the default broadcast wiring may change anything,
+    /// so it joins every group; under [`Coordination::GlobalLock`] all
+    /// methods form one group.
+    fn group_roots(&self, registry: &Registry) -> Vec<usize> {
+        let n = registry.entries.len();
+        if self.coordination == Coordination::GlobalLock
+            || registry
+                .entries
+                .iter()
+                .any(|e| e.wiring == WakeTargets::All)
+        {
+            return vec![0; n];
+        }
+        fn find(parent: &mut [usize], mut x: usize) -> usize {
+            while parent[x] != x {
+                parent[x] = parent[parent[x]];
+                x = parent[x];
+            }
+            x
+        }
+        let mut parent: Vec<usize> = (0..n).collect();
+        for (m, entry) in registry.entries.iter().enumerate() {
+            if let WakeTargets::Wired(targets) = &entry.wiring {
+                for t in targets {
+                    let (a, b) = (find(&mut parent, m), find(&mut parent, t.as_usize()));
+                    // Attaching the larger root keeps each root the
+                    // group's smallest index.
+                    parent[a.max(b)] = a.min(b);
+                }
+            }
+        }
+        (0..n).map(|m| find(&mut parent, m)).collect()
+    }
+
+    /// Plans a repartition: a group keeps its first method's cell when
+    /// every row of that cell stays in the group; every other member
+    /// moves into that host or a fresh cell.
+    ///
+    /// Errs with a method that would move although it has already been
+    /// invoked. Invocations count `preactivations` under the registry
+    /// read guard, and the planner runs under the write guard, so the
+    /// check cannot race a caller that resolved the method before it.
+    fn plan_groups(&self, registry: &Registry) -> Result<Vec<Group>, MethodId> {
+        let roots = self.group_roots(registry);
+        let entries = &registry.entries;
+        // Per cell: the group of all its rows, or `None` if it is split.
+        let mut cell_group: HashMap<*const Cell, Option<usize>> = HashMap::new();
+        for (m, &root) in roots.iter().enumerate() {
+            let g = cell_group
+                .entry(Arc::as_ptr(&entries[m].cell))
+                .or_insert(Some(root));
+            if *g != Some(root) {
+                *g = None;
+            }
+        }
+        let mut groups: BTreeMap<usize, Group> = BTreeMap::new();
+        for (m, &root) in roots.iter().enumerate() {
+            let group = groups.entry(root).or_insert_with(|| {
+                let cell = &entries[root].cell;
+                let whole = cell_group[&Arc::as_ptr(cell)] == Some(root);
+                Group {
+                    members: Vec::new(),
+                    host: whole.then(|| Arc::clone(cell)),
+                }
+            });
+            let stays = group
+                .host
+                .as_ref()
+                .is_some_and(|h| Arc::ptr_eq(h, &entries[m].cell));
+            if !stays && entries[m].stats.preactivations.load(Ordering::Acquire) > 0 {
+                return Err(entries[m].id.clone());
+            }
+            group.members.push(m);
+        }
+        Ok(groups.into_values().collect())
+    }
+
+    /// Recomputes the coordination groups and moves each moving method's
+    /// bank row and wait state into its group's cell, then recompiles
+    /// every row's wake wiring into local row indices. Takes one cell
+    /// lock at a time. On `Err` (see [`plan_groups`](Self::plan_groups))
+    /// nothing has changed.
+    fn repartition(&self, registry: &mut Registry) -> Result<(), MethodId> {
+        let groups = self.plan_groups(registry)?;
+        let entries = &mut registry.entries;
+        // Every cell that is no group's host is dismantled whole: each of
+        // its rows moves. (A dismantled cell stays alive, and its address
+        // unique, while an entry still points at it.)
+        type Rows = Vec<Option<(MethodRow, RowState)>>;
+        let mut taken: HashMap<*const Cell, Rows> = HashMap::new();
+        for group in &groups {
+            for &m in &group.members {
+                let cell = &entries[m].cell;
+                if !group.host.as_ref().is_some_and(|h| Arc::ptr_eq(h, cell)) {
+                    taken.entry(Arc::as_ptr(cell)).or_insert_with(|| {
+                        let old = std::mem::take(&mut *cell.state.lock());
+                        let rows = old.bank.into_rows().into_iter().zip(old.rows);
+                        rows.map(Some).collect()
+                    });
+                }
+            }
+        }
+        for group in groups {
+            let host = group.host.unwrap_or_default();
+            let mut state = host.state.lock();
+            for &m in &group.members {
+                let entry = &mut entries[m];
+                if !Arc::ptr_eq(&entry.cell, &host) {
+                    let rows = taken
+                        .get_mut(&Arc::as_ptr(&entry.cell))
+                        .expect("dismantled");
+                    let (row, wait) = rows[entry.slot.as_usize()].take().expect("moved once");
+                    entry.slot = state.bank.adopt(row);
+                    state.rows.push(wait);
+                    entry.cell = Arc::clone(&host);
+                }
+            }
+            for &m in &group.members {
+                let entry = &entries[m];
+                state.rows[entry.slot.as_usize()].wakes = match &entry.wiring {
+                    WakeTargets::All => WakeTargets::All,
+                    WakeTargets::Wired(targets) => WakeTargets::Wired(
+                        targets.iter().map(|t| entries[t.as_usize()].slot).collect(),
+                    ),
+                };
+                refresh_lane(&state, &entry.lane, entry.slot);
+            }
+        }
+        Ok(())
     }
 
     /// Looks up the handle of an already-declared method.
@@ -387,12 +566,11 @@ impl AspectModerator {
         concern: Concern,
         aspect: Box<dyn Aspect>,
     ) -> Result<(), RegistrationError> {
-        let r = self.resolve(method);
-        {
-            let mut state = r.cell.state.lock();
-            state.bank.register(r.slot, concern.clone(), aspect)?;
-            refresh_lane(&state, &r.lane, r.slot);
-        }
+        self.with_row(method, |state, e| {
+            state.bank.register(e.slot, concern.clone(), aspect)?;
+            refresh_lane(state, &e.lane, e.slot);
+            Ok::<_, RegistrationError>(())
+        })?;
         self.emit(0, &method.id, Some(concern), EventKind::AspectRegistered);
         Ok(())
     }
@@ -439,22 +617,23 @@ impl AspectModerator {
         method: &MethodHandle,
         concern: &Concern,
     ) -> Result<Box<dyn Aspect>, RegistrationError> {
-        let r = self.resolve(method);
-        let aspect = {
-            let mut state = r.cell.state.lock();
-            let aspect = state.bank.deregister(r.slot, concern)?;
+        let aspect = self.with_row(method, |state, e| {
+            let aspect = state.bank.deregister(e.slot, concern)?;
             // Notify while holding the cell lock: a waiter either is
             // already parked (woken now) or still holds the lock and
             // will re-evaluate against the shortened chain anyway.
             // Under Fifo every ticketed waiter must get a turn against
             // the shortened chain, in order — a full sweep.
             if self.fairness == FairnessPolicy::Fifo {
-                wake_queue(&mut state.queues[r.slot.as_usize()], WakeMode::NotifyAll);
+                wake_queue(
+                    &mut state.rows[e.slot.as_usize()].queue,
+                    WakeMode::NotifyAll,
+                );
             }
-            r.point.wake_all();
-            refresh_lane(&state, &r.lane, r.slot);
-            aspect
-        };
+            e.point.wake_all();
+            refresh_lane(state, &e.lane, e.slot);
+            Ok::<_, RegistrationError>(aspect)
+        })?;
         self.emit(
             0,
             &method.id,
@@ -466,36 +645,46 @@ impl AspectModerator {
 
     /// The concerns registered for a method, in registration order.
     pub fn concerns(&self, method: &MethodHandle) -> Vec<Concern> {
-        let r = self.resolve(method);
-        let state = r.cell.state.lock();
-        state.bank.concerns(r.slot)
+        self.with_row(method, |state, e| state.bank.concerns(e.slot))
     }
 
     /// Restricts which wait queues `method`'s post-activation notifies
     /// (default: all queues). The paper wires `open` → `assign`'s queue
     /// and vice versa.
     ///
+    /// Wiring also declares shared state: a method and the methods it
+    /// wakes form one *coordination group* and share one cell lock, so a
+    /// postaction and the notify it owes are one atomic step (module
+    /// docs, "Locking model"). Wire before invoking.
+    ///
     /// The method's *own* queue is always signalled after its
     /// postactions run, independent of this wiring (module docs:
     /// self-wake) — wiring governs cross-method notifications only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handles do not belong to this moderator, or if the
+    /// new groups would move a method that has already been invoked.
     pub fn wire_wakes(&self, method: &MethodHandle, targets: &[MethodHandle]) {
-        {
-            let registry = self.registry.read();
-            registry.check(method);
-            for t in targets {
-                registry.check(t);
-            }
+        let mut registry = self.registry.write();
+        registry.check(method);
+        for t in targets {
+            registry.check(t);
         }
-        let r = self.resolve(method);
-        let mut state = r.cell.state.lock();
-        state.wakes[r.slot.as_usize()] =
-            WakeTargets::Wired(targets.iter().map(|t| t.index).collect());
-        refresh_lane(&state, &r.lane, r.slot);
+        let wiring = WakeTargets::Wired(targets.iter().map(|t| t.index).collect());
+        let ix = method.index.as_usize();
+        let old = std::mem::replace(&mut registry.entries[ix].wiring, wiring);
+        if let Err(moved) = self.repartition(&mut registry) {
+            registry.entries[ix].wiring = old;
+            drop(registry);
+            panic!("wiring `{}` would move invoked method `{moved}` into another coordination group; wire every method before invoking any", method.id);
+        }
     }
 
     /// Runs `f` with mutable access to the aspect registered under
     /// (method, concern), under the method's cell lock. Administrative
-    /// escape hatch for inspecting or adjusting aspect state.
+    /// escape hatch for inspecting or adjusting aspect state; `f` must
+    /// not call back into the moderator.
     ///
     /// # Errors
     ///
@@ -506,21 +695,19 @@ impl AspectModerator {
         concern: &Concern,
         f: impl FnOnce(&mut dyn Aspect) -> R,
     ) -> Result<R, RegistrationError> {
-        let r = self.resolve(method);
-        let mut state = r.cell.state.lock();
-        let out = match state.bank.aspect_mut(r.slot, concern) {
-            Some(aspect) => Ok(f(aspect)),
-            None => Err(RegistrationError::UnknownConcern {
-                method: method.id.clone(),
-                concern: concern.clone(),
-            }),
-        };
-        if out.is_ok() {
+        self.with_row(method, |state, e| {
+            let aspect = state.bank.aspect_mut(e.slot, concern).ok_or_else(|| {
+                RegistrationError::UnknownConcern {
+                    method: method.id.clone(),
+                    concern: concern.clone(),
+                }
+            })?;
+            let out = f(aspect);
             // `f` may have changed the aspect's declared contract.
-            state.bank.recompute_fast_eligibility(r.slot);
-            refresh_lane(&state, &r.lane, r.slot);
-        }
-        out
+            state.bank.recompute_fast_eligibility(e.slot);
+            refresh_lane(state, &e.lane, e.slot);
+            Ok(out)
+        })
     }
 }
 

@@ -4,11 +4,8 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
-use amf_concurrency::{TicketQueue, Waiter};
-
-use super::cell::{CellState, FastLane};
+use super::cell::{CellState, FastLane, RowState};
 use super::queue::wake_queue;
 use super::stats::{inc, StatShard};
 use super::{AspectModerator, FairnessPolicy, MethodHandle, PanicPolicy, WakeMode};
@@ -48,32 +45,32 @@ impl AspectModerator {
     /// Per-slot caught-panic counts for `method`, in registration order.
     /// Slots that never panicked are reported with a count of 0.
     pub fn panic_counts(&self, method: &MethodHandle) -> Vec<(Concern, u32)> {
-        let r = self.resolve(method);
-        let state = r.cell.state.lock();
-        let fault_map = &state.faults[r.slot.as_usize()];
-        state
-            .bank
-            .concerns(r.slot)
-            .into_iter()
-            .map(|c| {
-                let panics = fault_map.get(&c).map_or(0, |f| f.panics);
-                (c, panics)
-            })
-            .collect()
+        self.with_row(method, |state, e| {
+            let fault_map = &state.rows[e.slot.as_usize()].faults;
+            state
+                .bank
+                .concerns(e.slot)
+                .into_iter()
+                .map(|c| {
+                    let panics = fault_map.get(&c).map_or(0, |f| f.panics);
+                    (c, panics)
+                })
+                .collect()
+        })
     }
 
     /// The concerns of `method` currently quarantined by
     /// [`PanicPolicy::Quarantine`], in registration order.
     pub fn quarantined_concerns(&self, method: &MethodHandle) -> Vec<Concern> {
-        let r = self.resolve(method);
-        let state = r.cell.state.lock();
-        let fault_map = &state.faults[r.slot.as_usize()];
-        state
-            .bank
-            .concerns(r.slot)
-            .into_iter()
-            .filter(|c| fault_map.get(c).is_some_and(|f| f.quarantined))
-            .collect()
+        self.with_row(method, |state, e| {
+            let fault_map = &state.rows[e.slot.as_usize()].faults;
+            state
+                .bank
+                .concerns(e.slot)
+                .into_iter()
+                .filter(|c| fault_map.get(c).is_some_and(|f| f.quarantined))
+                .collect()
+        })
     }
 
     /// Records one contained aspect panic: bumps the counters and the
@@ -92,9 +89,7 @@ impl AspectModerator {
     #[allow(clippy::too_many_arguments)]
     pub(super) fn note_panic(
         &self,
-        fault_map: &mut HashMap<Concern, SlotFault>,
-        queue: &mut TicketQueue,
-        point: &Arc<dyn Waiter<CellState>>,
+        wait: &mut RowState,
         lane: &FastLane,
         fast_eligible: &mut bool,
         method: &MethodId,
@@ -111,7 +106,7 @@ impl AspectModerator {
             Some(concern.clone()),
             EventKind::PanicCaught,
         );
-        let entry = fault_map.entry(concern.clone()).or_default();
+        let entry = wait.faults.entry(concern.clone()).or_default();
         entry.panics = entry.panics.saturating_add(1);
         if let PanicPolicy::Quarantine { after } = self.panic_policy {
             if !entry.quarantined && entry.panics >= after {
@@ -124,9 +119,9 @@ impl AspectModerator {
                     EventKind::AspectQuarantined,
                 );
                 if self.fairness == FairnessPolicy::Fifo {
-                    wake_queue(queue, WakeMode::NotifyAll);
+                    wake_queue(&mut wait.queue, WakeMode::NotifyAll);
                 }
-                point.wake_all();
+                wait.point.wake_all();
             }
         }
     }
@@ -170,34 +165,25 @@ impl AspectModerator {
     /// timeout path), with containment per policy: quarantined slots are
     /// skipped and a panicking `on_cancel` is caught and counted so the
     /// remaining aspects still see the cancellation.
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn cancel_all(
         &self,
         state: &mut CellState,
         slot: MethodIndex,
         method: &MethodId,
         ctx: &InvocationContext,
-        point: &Arc<dyn Waiter<CellState>>,
         lane: &FastLane,
         stats: &StatShard,
     ) {
         let contain = self.panic_policy != PanicPolicy::Propagate;
-        let CellState {
-            bank,
-            queues,
-            faults,
-            ..
-        } = state;
-        let row = bank.row_mut(slot);
-        let queue = &mut queues[slot.as_usize()];
-        let fault_map = &mut faults[slot.as_usize()];
+        let CellState { bank, rows } = state;
+        let wait = &mut rows[slot.as_usize()];
         let MethodRow {
             aspects,
             fast_eligible,
             ..
-        } = row;
+        } = bank.row_mut(slot);
         for (concern, aspect) in aspects.iter_mut() {
-            if contain && Self::is_quarantined(fault_map, concern) {
+            if contain && Self::is_quarantined(&wait.faults, concern) {
                 continue;
             }
             let delivered = if contain {
@@ -209,9 +195,7 @@ impl AspectModerator {
             if !delivered {
                 let concern = concern.clone();
                 self.note_panic(
-                    fault_map,
-                    queue,
-                    point,
+                    wait,
                     lane,
                     fast_eligible,
                     method,

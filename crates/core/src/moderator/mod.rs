@@ -25,49 +25,47 @@
 //! # Locking model
 //!
 //! The paper's `synchronized` moderator serializes every activation of
-//! every method behind one lock. This implementation **shards** that
-//! coordination state into per-method *cells* (see [`Coordination`]):
+//! every method behind one Java monitor, so a method's postactions and
+//! the `notify` to the queues it wakes are one atomic step. This
+//! implementation keeps that step atomic but locks only the methods
+//! that wake one another (see [`Coordination`]):
 //!
-//! * Each declared method owns a cell — a mutex guarding its aspect
-//!   chain and wake wiring — plus its own engine-supplied waitpoint and
-//!   a shard of atomic counters. Activations of *different* methods
-//!   coordinate on different locks and proceed in parallel.
-//! * One method's aspect chain is never evaluated concurrently with
-//!   itself: the chain runs under the method's cell lock, so aspects
-//!   still need no internal synchronization for per-method state.
-//!   State shared *across* methods (e.g. the producer/consumer buffer
-//!   counters of `amf-aspects`) must carry its own lock, as every
+//! * A **coordination group** is a connected component of the
+//!   wake-wiring graph ([`AspectModerator::wire_wakes`]). A method left
+//!   on the default broadcast wiring may change anything, so it joins
+//!   every group; under [`Coordination::GlobalLock`] all methods form
+//!   one group. Wiring thus declares shared state: methods that wake
+//!   one another share a lock.
+//! * Each group owns a *cell* — a mutex guarding its methods' aspect
+//!   chains, wake wiring and queues. Each method keeps its own
+//!   engine-supplied waitpoint and a shard of atomic counters.
+//!   Activations of methods in *different* groups proceed in parallel.
+//! * Chain evaluation, rollback, postactions and the notify of every
+//!   wake target all run under the group's one cell lock. A waiter
+//!   holds it continuously from chain evaluation to parking, so a
+//!   wakeup can never land between "evaluated: blocked" and "parked";
+//!   and a reservation made and rolled back inside one evaluation can
+//!   be seen by no other method that could wake or be woken by it.
+//!   State shared *across* groups must carry its own lock, as every
 //!   aspect in this workspace already does.
-//! * Moderator-global state is lock-free: the invocation counter is an
-//!   atomic, stats are per-method atomic shards aggregated on read, and
-//!   the method-name→index registry sits behind an `RwLock` that the
-//!   hot path only ever read-locks (writes happen in `declare_method`).
-//! * **Notify discipline**: post-activation runs postactions under its
-//!   own cell, releases it, then signals each target method's waitpoint
-//!   *while holding that target's cell lock*. A waiter holds its cell
-//!   lock continuously from chain evaluation to parking, so a
-//!   cross-method wakeup (open→assign) can never land in the window
-//!   between "evaluated: blocked" and "parked" — it would have to wait
-//!   for the cell lock first.
-//! * **Rollback notification**: with sharding, another method's chain
-//!   may observe a reservation that a blocked or aborted chain later
-//!   rolls back (impossible under the single lock, where whole-chain
-//!   evaluation was atomic). Whenever rollback releases at least one
-//!   aspect, the moderator therefore notifies the method's wake targets
-//!   — the rollback is semantically a mini post-activation — and a
-//!   blocked caller that rolled back re-checks its chain on a short
-//!   backstop interval to close the residual race.
-//! * **Self-wake**: postactions (and rollbacks) mutate the very state a
-//!   method's *own* waiters are guarded by — the paper's `ActiveOpen ==
-//!   0` flag frees a fellow producer, not a consumer. Relying on the
-//!   *other* method's next post-activation to deliver that wakeup
-//!   deadlocks once that method has gone quiet (two producers, one
-//!   parked on the active flag, after the last consumer finished). The
-//!   moderator therefore always signals the method's own waitpoint
-//!   after postactions and after a rollback that released a
-//!   reservation. [`AspectModerator::wire_wakes`] restricts which
-//!   *other* queues are notified; the self-wake is uncounted and
-//!   untraced.
+//! * Groups are computed at construction time: `declare_method` and
+//!   `wire_wakes` repartition the cells, moving rows between them. A
+//!   repartition that would move a method already invoked panics, so
+//!   declare and wire every method before invoking any.
+//! * Moderator-global state is lock-free on the hot path: the
+//!   invocation counter is an atomic, stats are per-method atomic
+//!   shards aggregated on read, and the method registry sits behind an
+//!   `RwLock` that invocations only ever read-lock (writes happen in
+//!   `declare_method` and `wire_wakes`).
+//! * **Self-wake**: postactions mutate the very state a method's *own*
+//!   waiters are guarded by — the paper's `ActiveOpen == 0` flag frees
+//!   a fellow producer, not a consumer. Relying on the *other* method's
+//!   next post-activation to deliver that wakeup deadlocks once that
+//!   method has gone quiet (two producers, one parked on the active
+//!   flag, after the last consumer finished). The moderator therefore
+//!   always signals the method's own waitpoint after postactions.
+//!   [`AspectModerator::wire_wakes`] restricts which *other* queues are
+//!   notified; the self-wake is uncounted and untraced.
 //! * **Fairness**: by default waiters barge — the waitpoint (ultimately
 //!   the scheduler) picks the winner and a fresh arrival may overtake
 //!   every parked waiter. [`FairnessPolicy::Fifo`] replaces that with a
@@ -116,20 +114,20 @@
 //!   [`PanicPolicy`] every aspect callback (precondition, postaction,
 //!   release, cancel) runs inside `catch_unwind`; a precondition panic
 //!   takes the same compensation path as a mid-chain `Verdict::Abort`
-//!   (prefix rollback + rollback notification), a postaction panic
+//!   (prefix rollback), a postaction panic
 //!   still finishes the remaining postactions and releases the
 //!   activation, and [`PanicPolicy::Quarantine`] disables a repeatedly
 //!   panicking slot so one bad concern degrades gracefully instead of
 //!   taking its method down. See DESIGN.md ("Fault containment").
 //!
-//! Lock ordering is `registry → at most one cell`: no code path holds a
-//! cell lock while acquiring the registry lock, and no path holds two
-//! cell locks at once, so the lock graph is acyclic by construction.
+//! Lock ordering is `registry → one group cell`: no code path holds a
+//! cell lock while acquiring the registry lock, and no path holds or
+//! takes two cell locks at once, so the lock graph is acyclic by
+//! construction.
 
 use std::fmt;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::time::Duration;
 
 use amf_concurrency::{Clock, CondvarEngine, GrantSource, SystemClock};
 use parking_lot::RwLock;
@@ -151,12 +149,6 @@ pub use cell::{CellState, MethodHandle};
 pub use stats::{ModeratorStats, WaitHistogram};
 
 use cell::Registry;
-
-/// How often a caller that blocked *after rolling back a reservation*
-/// re-evaluates its chain while parked. This backstop closes the
-/// sharded-moderator race where another method's chain observed the
-/// transient reservation; see the module docs ("Rollback notification").
-const ROLLBACK_RECHECK: Duration = Duration::from_millis(1);
 
 /// Number of buckets in a [`WaitHistogram`].
 pub const WAIT_BUCKETS: usize = 16;
@@ -206,14 +198,17 @@ pub enum RollbackPolicy {
 /// How coordination state is laid out across participating methods.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Coordination {
-    /// One coordination cell (lock + waitpoint + counters) per method:
-    /// activations of disjoint methods proceed in parallel (default).
+    /// One coordination cell per *coordination group* — the methods
+    /// joined by wake wiring, with a broadcast-wired method joining
+    /// every group (module docs, "Locking model"). Activations of
+    /// methods in different groups proceed in parallel (default).
     #[default]
     Sharded,
-    /// Every method shares a single cell, serializing all coordination
-    /// behind one lock — the paper's `synchronized` moderator. Retained
-    /// as the measured baseline for experiment E9; protocol semantics
-    /// are identical (each method still has its own wait queue).
+    /// One group: every method shares a single cell, serializing all
+    /// coordination behind one lock — the paper's `synchronized`
+    /// moderator. Retained as the measured baseline for experiments E9
+    /// and E14; protocol semantics are identical (each method still has
+    /// its own wait queue).
     GlobalLock,
 }
 
@@ -409,8 +404,8 @@ impl ModeratorBuilder {
     }
 
     /// Replaces the protocol's time source (default: wall-clock
-    /// [`SystemClock`]). Every protocol deadline — timed preactivations
-    /// and the rollback-recheck backstop — is computed against this
+    /// [`SystemClock`]). Every protocol deadline (the timed
+    /// preactivations) is computed against this
     /// clock and waited out through [`amf_concurrency::Waiter::park_for`],
     /// so a virtual clock (e.g. the simulator's) makes timed waits
     /// deterministic: no wall time enters a scheduling decision.

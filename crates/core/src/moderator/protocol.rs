@@ -12,13 +12,12 @@ use std::time::Duration;
 
 use amf_concurrency::Grant;
 
-use super::cell::{CellState, FastAdmit, Resolved};
+use super::cell::{CellState, FastAdmit, Resolved, RowState};
 use super::fault::panic_message;
 use super::queue::refresh_lane;
 use super::stats::inc;
 use super::{
     AspectModerator, FairnessPolicy, MethodHandle, OrderingPolicy, PanicPolicy, RollbackPolicy,
-    ROLLBACK_RECHECK,
 };
 use crate::aspect::ReleaseCause;
 use crate::bank::MethodIndex;
@@ -28,18 +27,16 @@ use crate::error::AbortError;
 use crate::trace::EventKind;
 use crate::verdict::Verdict;
 
-/// Outcome of one pass over a method's precondition chain. `released`
-/// counts the rollback releases the pass performed; a non-zero count
-/// obliges the caller to send a rollback notification (module docs).
+/// Outcome of one pass over a method's precondition chain. A pass
+/// that blocks or aborts has already rolled back its prefix, inside the
+/// same hold of the group's cell lock, so no other method of the group
+/// can have seen the transient reservations.
 pub(super) enum ChainOutcome {
     Resumed,
-    Blocked {
-        released: usize,
-    },
+    Blocked,
     Aborted {
         concern: Concern,
         reason: crate::verdict::AbortReason,
-        released: usize,
         /// True when the abort is a contained aspect panic rather than a
         /// `Verdict::Abort`; surfaced as [`AbortError::AspectPanicked`].
         panicked: bool,
@@ -66,9 +63,9 @@ impl AspectModerator {
         }
     }
 
-    /// One pass over the chain, under the method's cell lock. On
+    /// One pass over the chain, under the group's cell lock. On
     /// `Blocked` or `Aborted`, earlier-resumed aspects have been released
-    /// per policy and the release count is reported in the outcome.
+    /// per policy.
     ///
     /// Under a containing [`PanicPolicy`] each precondition runs inside
     /// `catch_unwind`; a panic is treated as an abort at that position
@@ -85,19 +82,13 @@ impl AspectModerator {
         let n = state.bank.concern_count(slot);
         let traced = self.trace.is_some();
         let contain = self.panic_policy != PanicPolicy::Propagate;
-        let CellState {
-            bank,
-            queues,
-            faults,
-            ..
-        } = state;
+        let CellState { bank, rows } = state;
         let row = bank.row_mut(slot);
-        let queue = &mut queues[slot.as_usize()];
-        let fault_map = &mut faults[slot.as_usize()];
+        let wait = &mut rows[slot.as_usize()];
         for pos in 0..n {
             let idx = self.pre_index(pos, n);
             let (concern, aspect) = &mut row.aspects[idx];
-            if contain && Self::is_quarantined(fault_map, concern) {
+            if contain && Self::is_quarantined(&wait.faults, concern) {
                 continue;
             }
             let verdict = if contain {
@@ -107,9 +98,7 @@ impl AspectModerator {
                         let concern = concern.clone();
                         let message = panic_message(payload.as_ref());
                         self.note_panic(
-                            fault_map,
-                            queue,
-                            &r.point,
+                            wait,
                             &r.lane,
                             &mut row.fast_eligible,
                             &method.id,
@@ -120,20 +109,10 @@ impl AspectModerator {
                         // Same compensation path as a mid-chain Abort:
                         // unwind the already-evaluated prefix so no
                         // reservation leaks past the panic.
-                        let released = self.release_prefix(
-                            row,
-                            fault_map,
-                            queue,
-                            pos,
-                            n,
-                            ctx,
-                            ReleaseCause::Aborted,
-                            r,
-                        );
+                        self.release_prefix(row, wait, pos, n, ctx, ReleaseCause::Aborted, r);
                         return ChainOutcome::Aborted {
                             concern,
                             reason: crate::verdict::AbortReason::new(message),
-                            released,
                             panicked: true,
                         };
                     }
@@ -163,17 +142,8 @@ impl AspectModerator {
                             EventKind::PreconditionBlocked,
                         );
                     }
-                    let released = self.release_prefix(
-                        row,
-                        fault_map,
-                        queue,
-                        pos,
-                        n,
-                        ctx,
-                        ReleaseCause::Blocked,
-                        r,
-                    );
-                    return ChainOutcome::Blocked { released };
+                    self.release_prefix(row, wait, pos, n, ctx, ReleaseCause::Blocked, r);
+                    return ChainOutcome::Blocked;
                 }
                 Verdict::Abort(reason) => {
                     let concern = concern.clone();
@@ -185,20 +155,10 @@ impl AspectModerator {
                             EventKind::PreconditionAborted,
                         );
                     }
-                    let released = self.release_prefix(
-                        row,
-                        fault_map,
-                        queue,
-                        pos,
-                        n,
-                        ctx,
-                        ReleaseCause::Aborted,
-                        r,
-                    );
+                    self.release_prefix(row, wait, pos, n, ctx, ReleaseCause::Aborted, r);
                     return ChainOutcome::Aborted {
                         concern,
                         reason,
-                        released,
                         panicked: false,
                     };
                 }
@@ -209,7 +169,7 @@ impl AspectModerator {
 
     /// Releases the `evaluated` already-resumed aspects (precondition
     /// positions `0..evaluated`) in reverse evaluation order — unwinding
-    /// the onion. Returns the number of release deliveries attempted.
+    /// the onion.
     ///
     /// Under a containing [`PanicPolicy`], quarantined slots are skipped
     /// (their precondition never ran in this pass, so there is nothing
@@ -219,26 +179,23 @@ impl AspectModerator {
     fn release_prefix(
         &self,
         row: &mut crate::bank::MethodRow,
-        fault_map: &mut std::collections::HashMap<Concern, super::fault::SlotFault>,
-        queue: &mut amf_concurrency::TicketQueue,
+        wait: &mut RowState,
         evaluated: usize,
         n: usize,
         ctx: &InvocationContext,
         cause: ReleaseCause,
         r: &Resolved,
-    ) -> usize {
+    ) {
         if self.rollback == RollbackPolicy::None {
-            return 0;
+            return;
         }
         let contain = self.panic_policy != PanicPolicy::Propagate;
-        let mut attempted = 0;
         for pos in (0..evaluated).rev() {
             let idx = self.pre_index(pos, n);
             let (concern, aspect) = &mut row.aspects[idx];
-            if contain && Self::is_quarantined(fault_map, concern) {
+            if contain && Self::is_quarantined(&wait.faults, concern) {
                 continue;
             }
-            attempted += 1;
             let delivered = if contain {
                 catch_unwind(AssertUnwindSafe(|| aspect.on_release(ctx, cause))).is_ok()
             } else {
@@ -258,9 +215,7 @@ impl AspectModerator {
             } else {
                 let concern = concern.clone();
                 self.note_panic(
-                    fault_map,
-                    queue,
-                    &r.point,
+                    wait,
                     &r.lane,
                     &mut row.fast_eligible,
                     ctx.method(),
@@ -270,7 +225,6 @@ impl AspectModerator {
                 );
             }
         }
-        attempted
     }
 
     /// Runs the pre-activation phase for one invocation, blocking until
@@ -390,7 +344,7 @@ impl AspectModerator {
                     if let Some(start) = blocked_at {
                         r.stats.note_unparked();
                         r.stats.record_wait(self.clock.now().saturating_sub(start));
-                        state.parked[r.slot.as_usize()] -= 1;
+                        state.rows[r.slot.as_usize()].parked -= 1;
                         refresh_lane(&state, &r.lane, r.slot);
                     }
                     inc(&r.stats.resumes);
@@ -405,12 +359,11 @@ impl AspectModerator {
                 ChainOutcome::Aborted {
                     concern,
                     reason,
-                    released,
                     panicked,
                 } => {
                     if blocked_at.is_some() {
                         r.stats.note_unparked();
-                        state.parked[r.slot.as_usize()] -= 1;
+                        state.rows[r.slot.as_usize()].parked -= 1;
                         refresh_lane(&state, &r.lane, r.slot);
                     }
                     inc(&r.stats.aborts);
@@ -420,17 +373,9 @@ impl AspectModerator {
                         None,
                         EventKind::ActivationAborted,
                     );
-                    let plan = (released > 0).then(|| state.wakes[r.slot.as_usize()].clone());
-                    if plan.is_some() {
-                        self.wake_own(&mut state, r.slot, &r.point);
-                    }
-                    drop(state);
-                    if let Some(targets) = plan {
-                        self.notify_targets(&targets, &r.stats, ctx.invocation(), &method.id);
-                    }
                     return Err(Self::abort_error(&method.id, concern, reason, panicked));
                 }
-                ChainOutcome::Blocked { released } => {
+                ChainOutcome::Blocked => {
                     inc(&r.stats.blocks);
                     if blocked_at.is_none() {
                         blocked_at = Some(self.clock.now());
@@ -441,42 +386,22 @@ impl AspectModerator {
                         // that leaves the cell waiter-free
                         // (`refresh_lane`).
                         r.lane.close();
-                        state.parked[r.slot.as_usize()] += 1;
+                        state.rows[r.slot.as_usize()].parked += 1;
                     }
                     self.emit(ctx.invocation(), &method.id, None, EventKind::WaitStarted);
-                    let mut backstop = None;
-                    if released > 0 {
-                        // Rollback notification: another method's chain
-                        // may have blocked against the reservation this
-                        // pass just rolled back. Wake our targets, then
-                        // park with a short recheck backstop to close
-                        // the unlocked window (module docs).
-                        let targets = state.wakes[r.slot.as_usize()].clone();
-                        self.wake_own(&mut state, r.slot, &r.point);
-                        drop(state);
-                        self.notify_targets(&targets, &r.stats, ctx.invocation(), &method.id);
-                        state = r.cell.state.lock();
-                        backstop = Some(self.clock.now() + ROLLBACK_RECHECK);
-                    }
-                    let wait_until = match (deadline, backstop) {
-                        (Some(d), Some(b)) => Some(d.min(b)),
-                        (Some(d), None) => Some(d),
-                        (None, b) => b,
-                    };
-                    match wait_until {
+                    match deadline {
                         None => r.point.park(&mut state),
                         Some(until) => {
                             let remaining = until.saturating_sub(self.clock.now());
                             let timed_out = r.point.park_for(&mut state, remaining);
-                            if timed_out && deadline.is_some_and(|d| self.clock.now() >= d) {
+                            if timed_out && self.clock.now() >= until {
                                 r.stats.note_unparked();
-                                state.parked[r.slot.as_usize()] -= 1;
+                                state.rows[r.slot.as_usize()].parked -= 1;
                                 inc(&r.stats.timeouts);
                                 // Let enrollment-style aspects (admission
                                 // queues) forget this invocation.
                                 self.cancel_all(
-                                    &mut state, r.slot, &method.id, ctx, &r.point, &r.lane,
-                                    &r.stats,
+                                    &mut state, r.slot, &method.id, ctx, &r.lane, &r.stats,
                                 );
                                 refresh_lane(&state, &r.lane, r.slot);
                                 self.emit(
@@ -503,10 +428,9 @@ impl AspectModerator {
     /// The caller evaluates its chain only while holding a *grant*: its
     /// first pass with an empty queue, a queue permit naming its ticket
     /// (head signal or sweep cursor — including a batched extension left
-    /// by a departing predecessor), or the rollback-recheck backstop.
-    /// A caller arriving to a non-empty queue takes a ticket and parks
-    /// without evaluating — even if its chain would resume — which is
-    /// what prevents barging. Queue order equals ticket order equals
+    /// by a departing predecessor). A caller arriving to a non-empty
+    /// queue takes a ticket and parks without evaluating — even if its
+    /// chain would resume — which is what prevents barging. Queue order equals ticket order equals
     /// park order, all maintained under the cell lock.
     ///
     /// With [`ModeratorBuilder::grant_batching`] enabled (the default),
@@ -518,14 +442,6 @@ impl AspectModerator {
     /// settles under the lock its predecessor just released — instead of
     /// k separate notification round trips. Successful batched
     /// admissions are counted in [`ModeratorStats::batched_grants`].
-    ///
-    /// On `Blocked { released > 0 }` the caller is already ticketed, so
-    /// cross-cell notifications landing while the lock is dropped for
-    /// the rollback notification persist as queue permits; its own
-    /// re-check still uses the [`ROLLBACK_RECHECK`] backstop (an
-    /// out-of-band grant, the one documented exception to strict FIFO),
-    /// because granting itself a permit would let a head-of-queue
-    /// rollback loop spin hot.
     ///
     /// [`ModeratorBuilder::grant_batching`]: super::ModeratorBuilder::grant_batching
     /// [`ModeratorStats::batched_grants`]: super::ModeratorStats::batched_grants
@@ -540,15 +456,10 @@ impl AspectModerator {
         let mut state = r.cell.state.lock();
         let mut ticket: Option<u64> = None;
         let mut blocked_at: Option<Duration> = None;
-        let mut backstop: Option<Duration> = None;
         loop {
             let grant = match ticket {
-                None => (!state.queues[slot].has_waiters()).then_some(Grant::First),
-                Some(t) => state.queues[slot].grant_for(t).or_else(|| {
-                    backstop
-                        .is_some_and(|b| self.clock.now() >= b)
-                        .then_some(Grant::Backstop)
-                }),
+                None => (!state.rows[slot].queue.has_waiters()).then_some(Grant::First),
+                Some(t) => state.rows[slot].queue.grant_for(t),
             };
             let Some(grant) = grant else {
                 if ticket.is_none() {
@@ -558,7 +469,7 @@ impl AspectModerator {
                     // closed first, so no CAS admission overtakes the
                     // ticket about to be issued.
                     r.lane.close();
-                    ticket = Some(state.queues[slot].enqueue());
+                    ticket = Some(state.rows[slot].queue.enqueue());
                     inc(&r.stats.blocks);
                     inc(&r.stats.tickets_issued);
                     r.stats.note_parked();
@@ -566,31 +477,24 @@ impl AspectModerator {
                     self.emit(ctx.invocation(), &method.id, None, EventKind::WaitStarted);
                     continue;
                 }
-                let wait_until = match (deadline, backstop) {
-                    (Some(d), Some(b)) => Some(d.min(b)),
-                    (Some(d), None) => Some(d),
-                    (None, b) => b,
-                };
-                match wait_until {
+                match deadline {
                     None => r.point.park(&mut state),
                     Some(until) => {
                         let remaining = until.saturating_sub(self.clock.now());
                         let timed_out = r.point.park_for(&mut state, remaining);
-                        if timed_out && deadline.is_some_and(|d| self.clock.now() >= d) {
+                        if timed_out && self.clock.now() >= until {
                             // Surrender the ticket. `cancel` re-attaches
                             // pending permits to the successor, so the
                             // cancellation strands nobody; broadcast so
                             // the new head notices its inheritance.
-                            let q = &mut state.queues[slot];
+                            let q = &mut state.rows[slot].queue;
                             q.cancel(ticket.expect("timed out while ticketed"));
                             if q.has_pending() && q.has_waiters() {
                                 r.point.wake_all();
                             }
                             r.stats.note_unparked();
                             inc(&r.stats.timeouts);
-                            self.cancel_all(
-                                &mut state, r.slot, &method.id, ctx, &r.point, &r.lane, &r.stats,
-                            );
+                            self.cancel_all(&mut state, r.slot, &method.id, ctx, &r.lane, &r.stats);
                             refresh_lane(&state, &r.lane, r.slot);
                             self.emit(
                                 ctx.invocation(),
@@ -610,15 +514,10 @@ impl AspectModerator {
                 inc(&r.stats.wakeups);
                 self.emit(ctx.invocation(), &method.id, None, EventKind::WaitWoken);
             }
-            if grant == Grant::Backstop {
-                // One out-of-band re-check per arming; re-armed below
-                // only if this evaluation rolls back again.
-                backstop = None;
-            }
             match self.evaluate_chain(&mut state, r.slot, method, ctx, r) {
                 ChainOutcome::Resumed => {
                     if let Some(t) = ticket {
-                        let q = &mut state.queues[slot];
+                        let q = &mut state.rows[slot].queue;
                         if q.settle(t, grant, true) {
                             inc(&r.stats.batched_grants);
                         }
@@ -646,11 +545,10 @@ impl AspectModerator {
                 ChainOutcome::Aborted {
                     concern,
                     reason,
-                    released,
                     panicked,
                 } => {
                     if let Some(t) = ticket {
-                        let q = &mut state.queues[slot];
+                        let q = &mut state.rows[slot].queue;
                         if q.settle(t, grant, true) {
                             inc(&r.stats.batched_grants);
                         }
@@ -667,20 +565,12 @@ impl AspectModerator {
                         None,
                         EventKind::ActivationAborted,
                     );
-                    let plan = (released > 0).then(|| state.wakes[slot].clone());
-                    if plan.is_some() {
-                        self.wake_own(&mut state, r.slot, &r.point);
-                    }
-                    drop(state);
-                    if let Some(targets) = plan {
-                        self.notify_targets(&targets, &r.stats, ctx.invocation(), &method.id);
-                    }
                     return Err(Self::abort_error(&method.id, concern, reason, panicked));
                 }
-                ChainOutcome::Blocked { released } => {
+                ChainOutcome::Blocked => {
                     match ticket {
                         Some(t) => {
-                            let q = &mut state.queues[slot];
+                            let q = &mut state.rows[slot].queue;
                             q.settle(t, grant, false);
                             // A sweep's cursor moved on to a successor,
                             // which may have re-parked after the broadcast
@@ -691,7 +581,7 @@ impl AspectModerator {
                         }
                         None => {
                             r.lane.close();
-                            ticket = Some(state.queues[slot].enqueue());
+                            ticket = Some(state.rows[slot].queue.enqueue());
                             inc(&r.stats.tickets_issued);
                             r.stats.note_parked();
                             blocked_at = Some(self.clock.now());
@@ -699,17 +589,6 @@ impl AspectModerator {
                     }
                     inc(&r.stats.blocks);
                     self.emit(ctx.invocation(), &method.id, None, EventKind::WaitStarted);
-                    if released > 0 {
-                        // Rollback notification (module docs). No
-                        // own-queue permit: our successors cannot pass
-                        // us anyway, and self-granting would make a
-                        // blocked queue head spin on its own rollback.
-                        let targets = state.wakes[slot].clone();
-                        drop(state);
-                        self.notify_targets(&targets, &r.stats, ctx.invocation(), &method.id);
-                        state = r.cell.state.lock();
-                        backstop = Some(self.clock.now() + ROLLBACK_RECHECK);
-                    }
                 }
             }
         }
@@ -737,7 +616,9 @@ impl AspectModerator {
         }
         let r = self.resolve(method);
         let mut state = r.cell.state.lock();
-        if self.fairness == FairnessPolicy::Fifo && state.queues[r.slot.as_usize()].has_waiters() {
+        if self.fairness == FairnessPolicy::Fifo
+            && state.rows[r.slot.as_usize()].queue.has_waiters()
+        {
             // Barging prevention applies to the non-blocking form too:
             // evaluating (and possibly reserving) ahead of ticketed
             // waiters would be exactly the overtake Fifo forbids.
@@ -761,7 +642,7 @@ impl AspectModerator {
                 );
                 Ok(true)
             }
-            ChainOutcome::Blocked { released } => {
+            ChainOutcome::Blocked => {
                 // Would block: the chain already rolled back. Counted as
                 // a would-block, not an abort — the caller chose not to
                 // park; no aspect vetoed anything.
@@ -772,20 +653,11 @@ impl AspectModerator {
                     None,
                     EventKind::ActivationAborted,
                 );
-                let plan = (released > 0).then(|| state.wakes[r.slot.as_usize()].clone());
-                if plan.is_some() {
-                    self.wake_own(&mut state, r.slot, &r.point);
-                }
-                drop(state);
-                if let Some(targets) = plan {
-                    self.notify_targets(&targets, &r.stats, ctx.invocation(), &method.id);
-                }
                 Ok(false)
             }
             ChainOutcome::Aborted {
                 concern,
                 reason,
-                released,
                 panicked,
             } => {
                 inc(&r.stats.aborts);
@@ -795,23 +667,14 @@ impl AspectModerator {
                     None,
                     EventKind::ActivationAborted,
                 );
-                let plan = (released > 0).then(|| state.wakes[r.slot.as_usize()].clone());
-                if plan.is_some() {
-                    self.wake_own(&mut state, r.slot, &r.point);
-                }
-                drop(state);
-                if let Some(targets) = plan {
-                    self.notify_targets(&targets, &r.stats, ctx.invocation(), &method.id);
-                }
                 Err(Self::abort_error(&method.id, concern, reason, panicked))
             }
         }
     }
 
     /// Runs the post-activation phase: every aspect's postaction (in
-    /// reverse precondition order) under the method's cell lock, then —
-    /// after releasing it — notifies the wait queues wired for this
-    /// method under the notify-while-locking-target discipline.
+    /// reverse precondition order), then the notify of the wait queues
+    /// wired for this method, all under the group's one cell lock.
     ///
     /// Under a containing [`PanicPolicy`] a panicking postaction is
     /// caught and counted; the remaining postactions still run and the
@@ -850,67 +713,56 @@ impl AspectModerator {
             None,
             EventKind::PostactivationStarted,
         );
-        let targets = {
-            let mut state = r.cell.state.lock();
-            let n = state.bank.concern_count(r.slot);
-            let traced = self.trace.is_some();
-            let contain = self.panic_policy != PanicPolicy::Propagate;
-            {
-                let CellState {
-                    bank,
-                    queues,
-                    faults,
-                    ..
-                } = &mut *state;
-                let row = bank.row_mut(r.slot);
-                let queue = &mut queues[r.slot.as_usize()];
-                let fault_map = &mut faults[r.slot.as_usize()];
-                for pos in 0..n {
-                    let idx = self.post_index(pos, n);
-                    let (concern, aspect) = &mut row.aspects[idx];
-                    if contain && Self::is_quarantined(fault_map, concern) {
-                        continue;
-                    }
-                    let delivered = if contain {
-                        catch_unwind(AssertUnwindSafe(|| aspect.postaction(ctx))).is_ok()
-                    } else {
-                        aspect.postaction(ctx);
-                        true
-                    };
-                    if delivered {
-                        if traced {
-                            let concern = concern.clone();
-                            self.emit(
-                                ctx.invocation(),
-                                &method.id,
-                                Some(concern),
-                                EventKind::PostactionRun,
-                            );
-                        }
-                    } else {
+        let mut state = r.cell.state.lock();
+        let n = state.bank.concern_count(r.slot);
+        let traced = self.trace.is_some();
+        let contain = self.panic_policy != PanicPolicy::Propagate;
+        {
+            let CellState { bank, rows } = &mut *state;
+            let row = bank.row_mut(r.slot);
+            let wait = &mut rows[r.slot.as_usize()];
+            for pos in 0..n {
+                let idx = self.post_index(pos, n);
+                let (concern, aspect) = &mut row.aspects[idx];
+                if contain && Self::is_quarantined(&wait.faults, concern) {
+                    continue;
+                }
+                let delivered = if contain {
+                    catch_unwind(AssertUnwindSafe(|| aspect.postaction(ctx))).is_ok()
+                } else {
+                    aspect.postaction(ctx);
+                    true
+                };
+                if delivered {
+                    if traced {
                         let concern = concern.clone();
-                        self.note_panic(
-                            fault_map,
-                            queue,
-                            &r.point,
-                            &r.lane,
-                            &mut row.fast_eligible,
-                            &method.id,
-                            &concern,
+                        self.emit(
                             ctx.invocation(),
-                            &r.stats,
+                            &method.id,
+                            Some(concern),
+                            EventKind::PostactionRun,
                         );
                     }
+                } else {
+                    let concern = concern.clone();
+                    self.note_panic(
+                        wait,
+                        &r.lane,
+                        &mut row.fast_eligible,
+                        &method.id,
+                        &concern,
+                        ctx.invocation(),
+                        &r.stats,
+                    );
                 }
             }
-            inc(&r.stats.postactivations);
-            // Postactions may have freed what this method's own waiters
-            // block on (active flags, slots): wake them too (module
-            // docs: self-wake). `wire_wakes` only governs other queues.
-            self.wake_own(&mut state, r.slot, &r.point);
-            state.wakes[r.slot.as_usize()].clone()
-        };
-        self.notify_targets(&targets, &r.stats, ctx.invocation(), &method.id);
+        }
+        inc(&r.stats.postactivations);
+        // Postactions may have freed what this method's own waiters
+        // block on (active flags, slots): wake them too (module docs:
+        // self-wake). `wire_wakes` only governs other queues.
+        self.wake_row(&mut state, r.slot);
+        self.notify_targets(&mut state, r.slot, &r.stats, ctx.invocation(), &method.id);
     }
 
     /// Emits the `MethodInvoked` trace event (Figure 3's `open(ticket)`

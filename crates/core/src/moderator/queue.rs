@@ -3,30 +3,30 @@
 //!
 //! The ticketed FIFO discipline itself lives in
 //! [`amf_concurrency::TicketQueue`] — the moderator holds one per
-//! (cell, slot) and this module bridges the moderator's [`WakeMode`]
-//! onto it. Under [`FairnessPolicy::Fifo`] a notification is recorded
-//! as *queue state* first (a head-of-queue signal or a broadcast sweep)
-//! and only then pulsed through the cell's [`Waiter`] waitpoint, so a
-//! wake landing while a waiter's cell lock is released persists as a
-//! permit instead of being lost.
+//! method in its group's cell and this module bridges the moderator's
+//! [`WakeMode`] onto it. Under [`FairnessPolicy::Fifo`] a notification
+//! is recorded as *queue state* first (a head-of-queue signal or a
+//! broadcast sweep) and only then pulsed through the method's
+//! [`Waiter`] waitpoint, so which waiter evaluates next is decided by
+//! the queue, not by whichever thread the waitpoint wakes.
 //!
 //! [`Waiter`]: amf_concurrency::Waiter
 
-use std::sync::Arc;
+use amf_concurrency::TicketQueue;
 
-use amf_concurrency::{TicketQueue, Waiter};
-
-use super::cell::{Cell, CellState, FastLane, MethodEntry};
+use super::cell::{CellState, FastLane};
 use super::stats::{inc, StatShard};
 use super::{AspectModerator, FairnessPolicy, WakeMode};
 use crate::bank::MethodIndex;
 use crate::concern::MethodId;
 use crate::trace::EventKind;
 
-/// Which wait queues a method's post-activation notifies.
+/// Which wait queues a method's post-activation notifies: registry
+/// indices in the registry's copy, local row indices in the cell's.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub(super) enum WakeTargets {
-    /// Notify every declared method's queue (safe default).
+    /// Notify every declared method's queue (safe default); such a
+    /// method joins every coordination group.
     #[default]
     All,
     /// Notify exactly these methods' queues (the paper wires open→assign
@@ -69,13 +69,13 @@ pub(super) fn wake_queue(queue: &mut TicketQueue, mode: WakeMode) {
 /// function then merely confirms the closed state until the last
 /// pending waiter departs.
 pub(super) fn refresh_lane(state: &CellState, lane: &FastLane, slot: MethodIndex) {
-    let ix = slot.as_usize();
+    let row = &state.rows[slot.as_usize()];
     let clear = state.bank.fast_path_eligible(slot)
-        && state.queues[ix].is_empty()
-        && !state.queues[ix].has_pending()
-        && state.parked[ix] == 0
-        && matches!(&state.wakes[ix], WakeTargets::Wired(t) if t.is_empty())
-        && state.faults[ix].values().all(|f| !f.quarantined);
+        && row.queue.is_empty()
+        && !row.queue.has_pending()
+        && row.parked == 0
+        && matches!(&row.wakes, WakeTargets::Wired(t) if t.is_empty())
+        && row.faults.values().all(|f| !f.quarantined);
     if clear {
         lane.open();
     } else {
@@ -84,89 +84,63 @@ pub(super) fn refresh_lane(state: &CellState, lane: &FastLane, slot: MethodIndex
 }
 
 impl AspectModerator {
-    /// Signals a method's *own* waitpoint (module docs: self-wake). The
-    /// caller must hold that method's cell lock. Deliberately neither
-    /// counted in [`ModeratorStats::notifications`] nor traced as
-    /// [`EventKind::NotificationSent`]: `wire_wakes` semantics (and the
-    /// tests pinning them) describe cross-method notifications only.
+    /// Wakes one row's waiters: the method's own waitpoint after its
+    /// postactions (module docs: self-wake), or a wired target's inside
+    /// [`notify_targets`](Self::notify_targets). The caller holds the
+    /// cell lock. Neither counted in [`ModeratorStats::notifications`]
+    /// nor traced as [`EventKind::NotificationSent`] here: `wire_wakes`
+    /// semantics (and the tests pinning them) describe cross-method
+    /// notifications only, which `notify_targets` counts and traces.
     ///
     /// Under [`FairnessPolicy::Fifo`] the wake is recorded as a queue
     /// permit first; the waitpoint broadcast only tells parked waiters
     /// to re-check their eligibility.
     ///
     /// [`ModeratorStats::notifications`]: super::ModeratorStats::notifications
-    pub(super) fn wake_own(
-        &self,
-        state: &mut CellState,
-        slot: MethodIndex,
-        point: &Arc<dyn Waiter<CellState>>,
-    ) {
+    pub(super) fn wake_row(&self, state: &mut CellState, slot: MethodIndex) {
+        let row = &mut state.rows[slot.as_usize()];
         match self.fairness {
             FairnessPolicy::Barging => match self.wake_mode {
-                WakeMode::NotifyAll => point.wake_all(),
-                WakeMode::NotifyOne => point.wake_one(),
+                WakeMode::NotifyAll => row.point.wake_all(),
+                WakeMode::NotifyOne => row.point.wake_one(),
             },
             FairnessPolicy::Fifo => {
-                wake_queue(&mut state.queues[slot.as_usize()], self.wake_mode);
-                point.wake_all();
+                wake_queue(&mut row.queue, self.wake_mode);
+                row.point.wake_all();
             }
         }
     }
 
-    /// Notifies the wait queues named by `targets`, signalling each
-    /// target's waitpoint **while holding that target's cell lock** —
-    /// the discipline that makes cross-method wakeups race-free (module
-    /// docs). The caller must not hold any cell lock.
+    /// Notifies the wait queues `slot`'s wiring names. Every target
+    /// lives in the same coordination group, so this runs under the one
+    /// cell lock the caller already holds: the postaction and its notify
+    /// are a single atomic step, and no waiter can evaluate between them.
     pub(super) fn notify_targets(
         &self,
-        targets: &WakeTargets,
+        state: &mut CellState,
+        slot: MethodIndex,
         stats: &StatShard,
         invocation: u64,
         source: &MethodId,
     ) {
-        type Target = (Arc<Cell>, MethodIndex, Arc<dyn Waiter<CellState>>, MethodId);
-        let resolved: Vec<Target> = {
-            let registry = self.registry.read();
-            let pick = |e: &MethodEntry| {
-                (
-                    Arc::clone(&e.cell),
-                    e.slot,
-                    Arc::clone(&e.point),
-                    e.id.clone(),
-                )
-            };
-            match targets {
-                WakeTargets::All => registry.entries.iter().map(pick).collect(),
-                WakeTargets::Wired(t) => t
-                    .iter()
-                    .map(|ix| pick(&registry.entries[ix.as_usize()]))
-                    .collect(),
-            }
+        let count = match &state.rows[slot.as_usize()].wakes {
+            WakeTargets::All => state.rows.len(),
+            WakeTargets::Wired(targets) => targets.len(),
         };
-        for (cell, slot, point, target_id) in resolved {
-            {
-                let mut state = cell.state.lock();
-                match self.fairness {
-                    FairnessPolicy::Barging => match self.wake_mode {
-                        WakeMode::NotifyAll => point.wake_all(),
-                        WakeMode::NotifyOne => point.wake_one(),
-                    },
-                    FairnessPolicy::Fifo => {
-                        wake_queue(&mut state.queues[slot.as_usize()], self.wake_mode);
-                        point.wake_all();
-                    }
-                }
-                // Emit while still holding the target cell: the woken
-                // waiter cannot log `WaitWoken` until it reacquires the
-                // lock, keeping notify→woken ordered in the trace.
-                if self.trace.is_some() {
-                    self.emit(
-                        invocation,
-                        source,
-                        None,
-                        EventKind::NotificationSent(target_id),
-                    );
-                }
+        for i in 0..count {
+            let target = match &state.rows[slot.as_usize()].wakes {
+                WakeTargets::All => MethodIndex(i),
+                WakeTargets::Wired(targets) => targets[i],
+            };
+            self.wake_row(state, target);
+            if self.trace.is_some() {
+                let target_id = state.bank.method_id(target).clone();
+                self.emit(
+                    invocation,
+                    source,
+                    None,
+                    EventKind::NotificationSent(target_id),
+                );
             }
             inc(&stats.notifications);
         }

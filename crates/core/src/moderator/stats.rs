@@ -60,8 +60,8 @@ pub struct ModeratorStats {
     pub blocks: u64,
     /// Times a parked caller was woken.
     pub wakeups: u64,
-    /// Notifications sent to wait queues by post-activations (and by
-    /// rollback notifications, see the module docs).
+    /// Notifications sent to other methods' wait queues by
+    /// post-activations (the self-wake is not counted).
     pub notifications: u64,
     /// Activations aborted by an aspect.
     pub aborts: u64,

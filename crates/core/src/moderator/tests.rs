@@ -28,6 +28,78 @@ fn declare_method_is_idempotent() {
     assert_eq!(m.methods(), vec![MethodId::new("open")]);
 }
 
+/// Whether two methods share a coordination cell.
+fn same_cell(m: &AspectModerator, a: &MethodHandle, b: &MethodHandle) -> bool {
+    let registry = m.registry.read();
+    let cell = |h: &MethodHandle| Arc::clone(&registry.entries[h.index.as_usize()].cell);
+    Arc::ptr_eq(&cell(a), &cell(b))
+}
+
+#[test]
+fn wake_wiring_forms_coordination_groups() {
+    let m = AspectModerator::new();
+    let [a, b, c] = ["a", "b", "c"].map(|n| m.declare_method(MethodId::new(n)));
+    // Every method is on the default broadcast wiring: one group.
+    assert!(same_cell(&m, &a, &b) && same_cell(&m, &b, &c));
+    m.wire_wakes(&a, std::slice::from_ref(&b));
+    m.wire_wakes(&b, &[]);
+    assert!(same_cell(&m, &a, &c), "c is still broadcast-wired");
+    m.wire_wakes(&c, &[]);
+    assert!(same_cell(&m, &a, &b));
+    assert!(!same_cell(&m, &a, &c));
+    // Rows moved with their aspects.
+    m.register(&c, Concern::synchronization(), Box::new(NoopAspect))
+        .unwrap();
+    m.wire_wakes(&c, std::slice::from_ref(&a));
+    assert!(same_cell(&m, &a, &c));
+    assert_eq!(m.concerns(&c), vec![Concern::synchronization()]);
+    let mut ctx = ctx_for(&m, &c);
+    m.preactivation(&c, &mut ctx).unwrap();
+    m.postactivation(&c, &mut ctx);
+    assert_eq!(m.method_stats(&a).notifications, 0);
+    assert_eq!(m.method_stats(&c).notifications, 1, "c notifies a in-cell");
+}
+
+#[test]
+fn global_lock_is_one_group_whatever_the_wiring() {
+    let m = AspectModerator::builder()
+        .coordination(Coordination::GlobalLock)
+        .build();
+    let a = m.declare_method(MethodId::new("a"));
+    let b = m.declare_method(MethodId::new("b"));
+    m.wire_wakes(&a, &[]);
+    m.wire_wakes(&b, &[]);
+    assert!(same_cell(&m, &a, &b));
+}
+
+#[test]
+fn declaring_into_the_one_group_after_invoking_is_allowed() {
+    let m = AspectModerator::new();
+    let a = m.declare_method(MethodId::new("a"));
+    let mut ctx = ctx_for(&m, &a);
+    m.preactivation(&a, &mut ctx).unwrap();
+    m.postactivation(&a, &mut ctx);
+    // The new method joins `a`'s cell; `a` itself does not move.
+    let b = m.declare_method(MethodId::new("b"));
+    assert!(same_cell(&m, &a, &b));
+}
+
+#[test]
+#[should_panic(expected = "would move invoked method `b`")]
+fn wiring_that_moves_an_invoked_method_panics() {
+    let m = AspectModerator::new();
+    let a = m.declare_method(MethodId::new("a"));
+    let b = m.declare_method(MethodId::new("b"));
+    m.wire_wakes(&a, &[]);
+    m.wire_wakes(&b, &[]);
+    for h in [&a, &b] {
+        let mut ctx = ctx_for(&m, h);
+        m.preactivation(h, &mut ctx).unwrap();
+        m.postactivation(h, &mut ctx);
+    }
+    m.wire_wakes(&a, std::slice::from_ref(&b));
+}
+
 #[test]
 fn method_lookup() {
     let m = AspectModerator::new();
@@ -822,11 +894,11 @@ fn quarantine_wakes_fifo_successor_after_head_panics() {
 
 #[test]
 fn contained_panic_never_leaks_reservation_or_strands_other_cell() {
-    // The cross-cell regression: `put` reserves capacity, then a
+    // The cross-method regression: `put` reserves capacity, then a
     // later aspect in its chain panics. The rollback must release
     // the reservation (else capacity leaks) and the `take` waiter
-    // parked on the *other* cell must still complete after a good
-    // put — the PR-2 wake discipline under unwind.
+    // parked on the *other* method's queue must still complete after
+    // a good put — the wake discipline under unwind.
     let m = Arc::new(
         AspectModerator::builder()
             .panic_policy(PanicPolicy::AbortInvocation)

@@ -8,7 +8,7 @@ use crate::context::InvocationContext;
 use crate::trace::{EventKind, MemoryTrace};
 use crate::verdict::Verdict;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -172,21 +172,22 @@ fn fifo_newcomer_cannot_overtake_parked_waiter() {
     );
 }
 
-/// Deterministic witness of an open fairness defect (the
-/// `properties_fairness` NotifyAll inversions). A broadcast sweep gives
-/// each ticket one evaluation in ticket order, but the gate's state is
-/// changed by another cell's postaction outside this cell's lock. A
-/// token minted between two sweep steps therefore goes to the ticket at
-/// the cursor, although the earlier ticket re-blocked only because it
-/// evaluated first. The gate mints right before the second ticket's
-/// sweep evaluation, where `tick`'s postaction can land. The assertion
-/// records today's order, so a protocol fix must flip it.
+/// Witness that a postaction and the notify it owes are one atomic
+/// step. `poke` is wired to `open`, so both share one coordination
+/// group; its postaction mints a token once `mint` is set. A token-less
+/// poke starts a broadcast sweep over two parked tickets. Once the head
+/// has re-blocked inside that sweep, a minting poke lands: its notify
+/// restarts the sweep at the head under the same hold of the group's
+/// lock, so the head, not the ticket at the old cursor, takes the token.
+/// When the mint and the notify ran under two cell locks, the cursor
+/// ticket could evaluate between them and take it (the
+/// `properties_fairness` NotifyAll inversions).
 ///
-/// The second ticket must also be woken when the cursor reaches it: it
-/// may have re-parked after the broadcast before the head re-blocked,
-/// and a sweep that stalled there would never grant it.
+/// The second ticket must also be woken when a cursor reaches it: it
+/// may have re-parked after a broadcast, and a sweep that stalled there
+/// would never grant it.
 #[test]
-fn token_minted_mid_sweep_goes_to_the_cursor_not_the_head() {
+fn token_minted_in_the_wired_postaction_goes_to_the_head() {
     let m = Arc::new(
         AspectModerator::builder()
             .fairness(FairnessPolicy::Fifo)
@@ -194,21 +195,23 @@ fn token_minted_mid_sweep_goes_to_the_cursor_not_the_head() {
             .build(),
     );
     let tokens = Arc::new(AtomicU64::new(0));
-    let mint_before = Arc::new(AtomicU64::new(u64::MAX));
+    let mint = Arc::new(AtomicBool::new(false));
+    let head = Arc::new(AtomicU64::new(u64::MAX));
+    let head_evals = Arc::new(AtomicU64::new(0));
     let open = m.declare_method(MethodId::new("open"));
     let poke = m.declare_method(MethodId::new("poke"));
     {
-        let (tokens, mint_before) = (Arc::clone(&tokens), Arc::clone(&mint_before));
+        let (tokens, head, head_evals) = (
+            Arc::clone(&tokens),
+            Arc::clone(&head),
+            Arc::clone(&head_evals),
+        );
         m.register(
             &open,
             Concern::synchronization(),
             Box::new(FnAspect::new("token-gate").on_precondition(move |ctx| {
-                let id = ctx.invocation();
-                if mint_before
-                    .compare_exchange(id, u64::MAX, AtomicOrdering::SeqCst, AtomicOrdering::SeqCst)
-                    .is_ok()
-                {
-                    tokens.fetch_add(1, AtomicOrdering::SeqCst);
+                if ctx.invocation() == head.load(AtomicOrdering::SeqCst) {
+                    head_evals.fetch_add(1, AtomicOrdering::SeqCst);
                 }
                 if tokens.load(AtomicOrdering::SeqCst) > 0 {
                     tokens.fetch_sub(1, AtomicOrdering::SeqCst);
@@ -220,8 +223,22 @@ fn token_minted_mid_sweep_goes_to_the_cursor_not_the_head() {
         )
         .unwrap();
     }
+    {
+        let (tokens, mint) = (Arc::clone(&tokens), Arc::clone(&mint));
+        m.register(
+            &poke,
+            Concern::new("mint"),
+            Box::new(FnAspect::new("mint").on_postaction(move |_| {
+                if mint.load(AtomicOrdering::SeqCst) {
+                    tokens.fetch_add(1, AtomicOrdering::SeqCst);
+                }
+            })),
+        )
+        .unwrap();
+    }
     m.wire_wakes(&poke, std::slice::from_ref(&open));
-    let wake_open = || {
+    m.wire_wakes(&open, &[]);
+    let poke_open = || {
         let mut ctx = ctx_for(&m, &poke);
         m.preactivation(&poke, &mut ctx).unwrap();
         m.postactivation(&poke, &mut ctx);
@@ -232,6 +249,7 @@ fn token_minted_mid_sweep_goes_to_the_cursor_not_the_head() {
         let (mc, open, done_tx) = (Arc::clone(&m), open.clone(), done_tx.clone());
         let mut ctx = ctx_for(&m, &open);
         parked.push(ctx.invocation());
+        head.store(parked[0], AtomicOrdering::SeqCst);
         callers.push(thread::spawn(move || {
             mc.preactivation(&open, &mut ctx).unwrap();
             mc.postactivation(&open, &mut ctx);
@@ -245,16 +263,18 @@ fn token_minted_mid_sweep_goes_to_the_cursor_not_the_head() {
         done.recv_timeout(Duration::from_secs(10))
             .expect("sweep stalled")
     };
-    // One sweep: the head re-blocks on zero tokens, then the mint lands
-    // and the second ticket takes it.
-    mint_before.store(parked[1], AtomicOrdering::SeqCst);
-    wake_open();
+    // A token-less sweep: wait until the head has re-blocked in it.
+    poke_open();
+    while head_evals.load(AtomicOrdering::SeqCst) < 2 {
+        thread::yield_now();
+    }
+    // The mint and its notify land together, wherever the sweep is.
+    mint.store(true, AtomicOrdering::SeqCst);
+    poke_open();
     let first = granted_next();
-    // A fresh token and sweep release the head.
-    tokens.fetch_add(1, AtomicOrdering::SeqCst);
-    wake_open();
+    poke_open();
     let second = granted_next();
-    assert_eq!([first, second], [parked[1], parked[0]], "grant order");
+    assert_eq!([first, second], [parked[0], parked[1]], "grant order");
     for caller in callers {
         caller.join().unwrap();
     }
@@ -580,9 +600,13 @@ fn custom_engine_carries_all_parking() {
         let mut ctx = ctx_for(&waiter, &gate2);
         waiter.preactivation(&gate2, &mut ctx).unwrap();
     });
-    while m.stats().blocks == 0 {
+    // `blocks` is counted just before the caller parks, so wait (bounded)
+    // for the park itself rather than racing it.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while parks.load(AtomicOrdering::SeqCst) == 0 && std::time::Instant::now() < deadline {
         thread::yield_now();
     }
+    assert!(m.stats().blocks >= 1, "the caller blocked");
     assert!(
         parks.load(AtomicOrdering::SeqCst) >= 1,
         "blocked caller parked via the engine"

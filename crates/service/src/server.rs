@@ -32,6 +32,7 @@
 //! moderator's coordination cells, so a parked request suspends a task,
 //! not a thread.
 
+use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -185,7 +186,10 @@ pub(crate) struct ServiceShared {
     proxy: ExtendedTicketServerProxy,
     op_timeout: Duration,
     pub(crate) shutting_down: AtomicBool,
-    connections: Mutex<Vec<TcpStream>>,
+    /// A clone of each live threaded-front connection, keyed by accept
+    /// order, so shutdown can unblock its handler's read. Removed when
+    /// the handler returns.
+    connections: Mutex<HashMap<u64, TcpStream>>,
     /// Live connection count, maintained by whichever front is serving.
     pub(crate) open_connections: AtomicU64,
     /// Present under [`ServiceFront::Task`]; feeds `tasks_parked`.
@@ -246,7 +250,7 @@ impl ServiceShared {
     fn begin_shutdown(&self) {
         self.shutting_down.store(true, Ordering::SeqCst);
         // Unblock every connection handler stuck in a read.
-        for conn in self.connections.lock().drain(..) {
+        for (_, conn) in self.connections.lock().drain() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         // And interrupt the reactor's epoll_wait, if that front runs.
@@ -446,7 +450,7 @@ impl TicketService {
             proxy,
             op_timeout: config.op_timeout,
             shutting_down: AtomicBool::new(false),
-            connections: Mutex::new(Vec::new()),
+            connections: Mutex::new(HashMap::new()),
             open_connections: AtomicU64::new(0),
             engine: engine.clone(),
             reactor_waker: Mutex::new(None),
@@ -487,18 +491,19 @@ impl TicketService {
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<ServiceShared>, pool: &Arc<WorkerPool>) {
-    for stream in listener.incoming() {
+    for (id, stream) in (0_u64..).zip(listener.incoming()) {
         if shared.shutting_down.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
         if let Ok(clone) = stream.try_clone() {
-            shared.connections.lock().push(clone);
+            shared.connections.lock().insert(id, clone);
         }
         let shared = Arc::clone(shared);
         shared.open_connections.fetch_add(1, Ordering::SeqCst);
         pool.spawn(move || {
             serve_connection(&shared, stream);
+            shared.connections.lock().remove(&id);
             shared.open_connections.fetch_sub(1, Ordering::SeqCst);
         });
     }

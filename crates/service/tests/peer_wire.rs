@@ -291,3 +291,112 @@ fn stalled_successor_is_dropped_and_reclaim_keeps_running() {
     }
     drop(stalled);
 }
+
+/// Set in the child process of `peer_fd_exhaustion_pauses_accept`.
+const FD_CHILD_ENV: &str = "AMF_PEER_FD_EXHAUSTION_CHILD";
+
+/// Running out of file descriptors must pause the peer node's `accept`,
+/// not spin its level-triggered epoll loop on a listener that stays
+/// readable. A child process runs one node under a lowered
+/// `RLIMIT_NOFILE`; the test holds connections (each greeted with a
+/// hello frame on accept) until one is no longer accepted, measures the
+/// child's CPU time over a second of exhaustion, then closes one held
+/// connection and expects the queued one to be greeted.
+#[test]
+fn peer_fd_exhaustion_pauses_accept() {
+    use std::io::{BufRead, BufReader, ErrorKind};
+    use std::process::{Command, Stdio};
+
+    if std::env::var_os(FD_CHILD_ENV).is_some() {
+        return peer_with_few_fds();
+    }
+    let mut child = Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "peer_fd_exhaustion_pauses_accept", "--nocapture"])
+        .env(FD_CHILD_ENV, "1")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn child");
+    let mut out = BufReader::new(child.stdout.take().unwrap());
+    let addr = (&mut out)
+        .lines()
+        .map(|l| l.expect("child stdout"))
+        .find_map(|l| l.strip_prefix("addr ").map(str::to_owned))
+        .expect("child prints its address");
+    let mut held = Vec::new();
+    let mut queued = loop {
+        assert!(held.len() < 16, "accept never ran out of fds");
+        let mut conn = TcpStream::connect(&addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_millis(500)))
+            .unwrap();
+        match read_frame(&mut conn) {
+            Ok(Some(_)) => held.push(conn),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                break conn;
+            }
+            other => panic!("unexpected greeting {other:?}"),
+        }
+    };
+    let before = cpu_seconds(child.id());
+    std::thread::sleep(Duration::from_secs(1));
+    let burnt = cpu_seconds(child.id()) - before;
+
+    drop(held.pop());
+    queued
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let greeted = read_frame(&mut queued);
+    drop((held, queued, child.stdin.take()));
+    std::io::copy(&mut out, &mut std::io::sink()).unwrap();
+    assert!(child.wait().unwrap().success(), "child failed");
+    assert!(
+        burnt < 0.2,
+        "peer node burnt {burnt:.2} s of CPU in 1 s of fd exhaustion"
+    );
+    assert!(
+        matches!(greeted, Ok(Some(_))),
+        "queued connection not accepted after an fd freed: {greeted:?}"
+    );
+}
+
+/// The child: one peer node whose fd limit leaves room for only three
+/// more descriptors, serving until its stdin closes.
+fn peer_with_few_fds() {
+    use std::io::Read;
+
+    #[repr(C)]
+    struct Rlimit {
+        cur: u64,
+        max: u64,
+    }
+    extern "C" {
+        fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
+        fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
+    }
+    const RLIMIT_NOFILE: i32 = 7;
+
+    let mut node = PeerNode::spawn(PeerConfig::default()).expect("spawn node");
+    let open = std::fs::read_dir("/proc/self/fd").unwrap().count() as u64;
+    let mut limit = Rlimit { cur: 0, max: 0 };
+    // SAFETY: `limit` is a live `struct rlimit` (two u64s on 64-bit
+    // Linux) for both calls; failures are reported by the return value.
+    unsafe {
+        assert_eq!(getrlimit(RLIMIT_NOFILE, &mut limit), 0);
+        limit.cur = open + 3;
+        assert_eq!(setrlimit(RLIMIT_NOFILE, &limit), 0);
+    }
+    println!("addr {}", node.addr());
+    let _ = std::io::stdin().read_to_end(&mut Vec::new());
+    node.shutdown();
+}
+
+/// User plus system CPU time of process `pid`, from `/proc/<pid>/stat`
+/// (clock ticks of 1/100 s).
+fn cpu_seconds(pid: u32) -> f64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).unwrap();
+    let fields: Vec<&str> = stat[stat.rfind(')').unwrap() + 1..]
+        .split_whitespace()
+        .collect();
+    let ticks: u64 = fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap();
+    ticks as f64 / 100.0
+}

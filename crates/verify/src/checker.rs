@@ -116,8 +116,17 @@ pub enum Step {
         /// The method whose body ran.
         method: String,
     },
-    /// A thread ran post-activation (postactions + notifications).
+    /// A thread ran post-activation (postactions + notifications; under
+    /// [`Checker::split_notify`] postactions and the self-wake only).
     Post {
+        /// Which thread stepped.
+        thread: usize,
+        /// The completing method.
+        method: String,
+    },
+    /// [`Checker::split_notify`]: a thread notified its wake targets in
+    /// a separate step after its postactions.
+    Notify {
         /// Which thread stepped.
         thread: usize,
         /// The completing method.
@@ -179,6 +188,7 @@ impl fmt::Display for Step {
             } => write!(f, "t{thread}: chain({method}) -> {result}"),
             Step::Body { thread, method } => write!(f, "t{thread}: body({method})"),
             Step::Post { thread, method } => write!(f, "t{thread}: post({method})"),
+            Step::Notify { thread, method } => write!(f, "t{thread}: notify({method})"),
             Step::Unwind {
                 thread,
                 method,
@@ -339,6 +349,9 @@ enum Phase {
     Body(usize),
     /// Body ran; about to run post-activation.
     Post(usize),
+    /// [`Checker::split_notify`]: postactions ran; about to notify the
+    /// wake targets.
+    Notify(usize),
     /// Sharded mode: the chain decided to block (`then_block`) or abort
     /// with `evaluated` earlier aspects still holding reservations; the
     /// rollback happens in a later, separate step, so other threads can
@@ -375,6 +388,10 @@ struct World<S> {
     /// ablations corrupt it (and only it), so the divergence from
     /// `order` is exactly the bug being modeled.
     elig: Vec<Vec<usize>>,
+    /// Active broadcast sweep per method under fifo notify-all: the
+    /// ticketed threads still owed one evaluation, in ticket order; the
+    /// first is the cursor. A notify-all restarts it at the queue head.
+    sweep: Vec<Vec<usize>>,
     /// Per method: whether a chain evaluation has panicked — the model
     /// counterpart of the implementation's revoked capability contract
     /// (a contained panic falsifies the purity declaration, so the
@@ -412,6 +429,7 @@ pub struct Checker<S> {
     batched_grants: bool,
     split_batch_overtake: bool,
     seed_deadlock: bool,
+    split_notify: bool,
     fast_lanes: HashSet<usize>,
     leaky_fast_path: bool,
     stale_eligibility: bool,
@@ -438,6 +456,7 @@ impl<S> fmt::Debug for Checker<S> {
             .field("batched_grants", &self.batched_grants)
             .field("split_batch_overtake", &self.split_batch_overtake)
             .field("seed_deadlock", &self.seed_deadlock)
+            .field("split_notify", &self.split_notify)
             .field("fast_lanes", &self.fast_lanes.len())
             .field("leaky_fast_path", &self.leaky_fast_path)
             .field("stale_eligibility", &self.stale_eligibility)
@@ -471,6 +490,7 @@ impl<S: Clone + Eq + Hash> Checker<S> {
             batched_grants: false,
             split_batch_overtake: false,
             seed_deadlock: false,
+            split_notify: false,
             fast_lanes: HashSet::new(),
             leaky_fast_path: false,
             stale_eligibility: false,
@@ -583,14 +603,14 @@ impl<S: Clone + Eq + Hash> Checker<S> {
         self
     }
 
-    /// Models the *sharded* moderator (per-method coordination cells):
-    /// when a chain blocks or aborts after earlier aspects reserved,
-    /// the rollback becomes its own atomic step, so other threads can
-    /// observe the transient reservations — exactly the window the
-    /// single global lock used to close. The rollback step also sends a
-    /// rollback notification to the method's wake targets, mirroring
-    /// the implementation (disable with
-    /// [`Checker::without_rollback_notify`] to see why it is needed).
+    /// Models the per-method-cell moderator the coordination groups
+    /// replaced: when a chain blocks or aborts after earlier aspects
+    /// reserved, the rollback becomes its own atomic step, so other
+    /// threads can observe the transient reservations — the window one
+    /// group lock closes. The rollback step also sends a rollback
+    /// notification to the method's wake targets, as that protocol did
+    /// (disable with [`Checker::without_rollback_notify`] to see why it
+    /// was needed).
     #[must_use]
     pub fn sharded(mut self) -> Self {
         self.sharded = true;
@@ -608,11 +628,11 @@ impl<S: Clone + Eq + Hash> Checker<S> {
         self
     }
 
-    /// Ablation of the notify-while-locking-target discipline: a thread
-    /// that decided to block parks in a *separate* step, and
-    /// notifications sent in between are missed (they wake only already
-    /// parked threads). Models an implementation that signals a
-    /// target's condvar without holding that target's cell lock.
+    /// Ablation of parking under the cell lock: a thread that decided
+    /// to block parks in a *separate* step, and notifications sent in
+    /// between are missed (they wake only already parked threads).
+    /// Models an implementation that signals a target's condvar without
+    /// holding that target's cell lock.
     #[must_use]
     pub fn racy_park(mut self) -> Self {
         self.racy_park = true;
@@ -622,7 +642,8 @@ impl<S: Clone + Eq + Hash> Checker<S> {
     /// Models `FairnessPolicy::Fifo`: each method's queue is strictly
     /// first-parked-first-served. A notification readies every parked
     /// waiter, but only the *front* of the queue may evaluate its chain
-    /// (a sweep serves the rest in order as the front settles), and a
+    /// — or, under notify-all, the cursor of the sweep the notification
+    /// started, which gives each ticket one evaluation in order — and a
     /// newly arriving caller finding the queue non-empty joins it
     /// without evaluating (barging prevention; the step appears as
     /// `chain(m) -> queued` in traces). Without this flag the model has
@@ -723,6 +744,27 @@ impl<S: Clone + Eq + Hash> Checker<S> {
     pub fn seed_deadlock(mut self) -> Self {
         self.seed_deadlock = true;
         self
+    }
+
+    /// Ablation reconstructing the per-method-cell protocol the
+    /// coordination groups replaced: post-activation runs the
+    /// postactions (and the self-wake) under the method's own cell,
+    /// releases it, and notifies the wake targets in a *separate* step.
+    /// Under [`Checker::fifo`] notify-all, state a postaction frees can
+    /// then reach the ticket at a sweep's cursor before the notify
+    /// restarts the sweep at the head — an overtake the checker reports
+    /// with a shrunk trace. The default model is the group protocol:
+    /// postactions and every notify are one step.
+    #[must_use]
+    pub fn split_notify(mut self) -> Self {
+        self.split_notify = true;
+        self
+    }
+
+    /// Whether notify-all runs as a ticket-ordered sweep (fifo with
+    /// broadcast wakes); otherwise only the queue front evaluates.
+    fn sweeps(&self) -> bool {
+        self.fifo && !self.notify_one
     }
 
     /// Declares `method`'s fast lane open for two-phase admission: a
@@ -913,7 +955,11 @@ impl<S: Clone + Eq + Hash> Checker<S> {
             // post order = registration order under nesting
             aspect.post(shared);
         }
-        let mut notified = self.wake_set(method);
+        let mut notified = if self.split_notify {
+            Vec::new() // sent by the later `Notify` step
+        } else {
+            self.wake_set(method)
+        };
         if !self.seed_deadlock && !notified.contains(&method) {
             // The self-wake the seed-deadlock ablation forgets.
             notified.push(method);
@@ -933,6 +979,7 @@ impl<S: Clone + Eq + Hash> Checker<S> {
     fn leave_queues(w: &mut World<S>, thread: usize, method: usize) {
         w.order[method].retain(|&t| t != thread);
         w.elig[method].retain(|&t| t != thread);
+        w.sweep[method].retain(|&t| t != thread);
     }
 
     /// Records `thread` parking on `method` (idempotent across
@@ -1001,8 +1048,14 @@ impl<S: Clone + Eq + Hash> Checker<S> {
             worlds
         } else {
             // Notify-all: every waiter on a notified queue becomes
-            // ready to re-evaluate.
+            // ready to re-evaluate; under fifo a sweep over the queue
+            // decides the order in which they may.
             let mut w = w;
+            if self.sweeps() {
+                for &m in notified {
+                    w.sweep[m] = w.elig[m].clone();
+                }
+            }
             for t in 0..w.threads.len() {
                 if let (tpc, Phase::Blocked(m)) = w.threads[t].clone() {
                     if notified.contains(&m) {
@@ -1027,6 +1080,7 @@ impl<S: Clone + Eq + Hash> Checker<S> {
                 // place in the queue; the op completes timed-out.
                 let mut w = world.clone();
                 w.order[method].retain(|&t| t != thread);
+                w.sweep[method].retain(|&t| t != thread);
                 if self.overtake_on_timeout {
                     // Ablation: cancellation wipes the eligibility
                     // seniority of every waiter parked behind it.
@@ -1080,8 +1134,8 @@ impl<S: Clone + Eq + Hash> Checker<S> {
                     if let Some(&front) = world.elig[method].first() {
                         if world.elig[method].contains(&thread) {
                             // A woken waiter evaluates only at the
-                            // front of the queue.
-                            if front != thread {
+                            // front of the queue or a sweep's cursor.
+                            if front != thread && world.sweep[method].first() != Some(&thread) {
                                 return out;
                             }
                         } else if !self.racy_handoff {
@@ -1129,6 +1183,10 @@ impl<S: Clone + Eq + Hash> Checker<S> {
                         // under the cell lock — before any Unwind or
                         // Park step — matching the implementation.
                         Self::join_queues(&mut w, thread, method);
+                        // A re-blocking cursor passes the sweep on.
+                        if w.sweep[method].first() == Some(&thread) {
+                            w.sweep[method].remove(0);
+                        }
                     }
                     _ => {
                         Self::leave_queues(&mut w, thread, method);
@@ -1170,13 +1228,30 @@ impl<S: Clone + Eq + Hash> Checker<S> {
             Phase::Post(method) => {
                 let mut w = world.clone();
                 let notified = self.post_step(method, &mut w.shared);
-                let npc = pc + 1;
-                w.threads[thread] = (npc, self.phase_for(thread, npc));
+                w.threads[thread] = if self.split_notify {
+                    (pc, Phase::Notify(method))
+                } else {
+                    let npc = pc + 1;
+                    (npc, self.phase_for(thread, npc))
+                };
                 let step = Step::Post {
                     thread,
                     method: self.system.methods[method].name.clone(),
                 };
                 self.apply_notifications(w, &notified)
+                    .into_iter()
+                    .map(|w| (step.clone(), w))
+                    .collect()
+            }
+            Phase::Notify(method) => {
+                let mut w = world.clone();
+                let npc = pc + 1;
+                w.threads[thread] = (npc, self.phase_for(thread, npc));
+                let step = Step::Notify {
+                    thread,
+                    method: self.system.methods[method].name.clone(),
+                };
+                self.apply_notifications(w, &self.wake_set(method))
                     .into_iter()
                     .map(|w| (step.clone(), w))
                     .collect()
@@ -1375,7 +1450,7 @@ impl<S: Clone + Eq + Hash> Checker<S> {
             Phase::Body(m) | Phase::FastBody(m) => {
                 fp.extend(self.shared_res(*m));
             }
-            Phase::Post(m) | Phase::Unwind { method: m, .. } => {
+            Phase::Post(m) | Phase::Notify(m) | Phase::Unwind { method: m, .. } => {
                 fp.push(Res::Cell(*m));
                 fp.push(Res::Queue(*m));
                 fp.extend(self.shared_res(*m));
@@ -1419,6 +1494,7 @@ impl<S: Clone + Eq + Hash> Checker<S> {
             | Phase::WillBlock(m)
             | Phase::Body(m)
             | Phase::Post(m)
+            | Phase::Notify(m)
             | Phase::FastBody(m)
             | Phase::FastPost(m)
             | Phase::Unwind { method: m, .. } => fp.extend(self.method_footprint(*m)),
@@ -1593,6 +1669,7 @@ impl<S: Clone + Eq + Hash> Checker<S> {
                 .collect(),
             order: vec![Vec::new(); self.system.method_count()],
             elig: vec![Vec::new(); self.system.method_count()],
+            sweep: vec![Vec::new(); self.system.method_count()],
             panic_seen: vec![false; self.system.method_count()],
             violated: false,
         }

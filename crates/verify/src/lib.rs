@@ -24,15 +24,23 @@
 //! earlier-resumed aspects are released when a later one blocks or
 //! aborts.
 //!
-//! Since the moderator was sharded into per-method cells, the checker
-//! also models the finer atomicity of that protocol and its failure
-//! ablations ([`Checker::sharded`]): a blocked-after-releasing chain
-//! unwinds as its own atomic step, sends the rollback notification
-//! before parking ([`Checker::without_rollback_notify`] ablates it), and
-//! parks-while-holding-its-cell ([`Checker::racy_park`] ablates that,
-//! exhibiting the classic lost-wakeup deadlock the notify-while-locking
-//! discipline prevents). See `tests/sharded.rs` for both ablations as
-//! machine-checked counterexamples.
+//! That default is the moderator's *coordination group* protocol: the
+//! methods joined by wake wiring share one cell lock, so a chain and
+//! its rollback are one step, and postactions and every notify are one
+//! step. Under [`Checker::fifo`] notify-all, a notification starts a
+//! ticket-ordered sweep over the queue (each ticket gets one
+//! evaluation, head first), as the implementation's ticket queue does.
+//!
+//! The per-method-cell protocol the groups replaced is kept as
+//! ablations. [`Checker::split_notify`] runs the notify as a separate
+//! step after the postactions; on the `tick`/`open` token gate under
+//! Fifo notify-all the checker catches the resulting overtake with a
+//! shrunk trace (`tests/groups.rs`). [`Checker::sharded`] unwinds a
+//! blocked-after-releasing chain as its own step, which needed the
+//! rollback notification ([`Checker::without_rollback_notify`] ablates
+//! it), and [`Checker::racy_park`] parks in a separate step, exhibiting
+//! the classic lost-wakeup deadlock that parking under the cell lock
+//! prevents. See `tests/sharded.rs` for those counterexamples.
 //!
 //! Wake-order **fairness** is likewise a checked property
 //! ([`Checker::check_fairness`]): with [`Checker::fifo`] the model

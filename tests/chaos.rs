@@ -203,11 +203,11 @@ fn chaos_storm_is_contained_under_fifo() {
     chaos_run(FairnessPolicy::Fifo);
 }
 
-/// Satellite regression: a panic inside one method's coordination cell
-/// must never strand the *other* method's waiters. A consumer parks on
-/// the empty buffer; the producer's postaction then panics — the
-/// contained unwind must still deliver the cross-cell notification, or
-/// the consumer hangs forever.
+/// Satellite regression: a panic inside one method's postaction must
+/// never strand the *other* method's waiters. A consumer parks on the
+/// empty buffer; the producer's postaction then panics — the contained
+/// unwind must still deliver the notification to the consumer's queue,
+/// or the consumer hangs forever.
 #[test]
 fn postaction_panic_still_wakes_the_other_cell() {
     silence_panic_hook();
@@ -235,7 +235,7 @@ fn postaction_panic_still_wakes_the_other_cell() {
         )
         .unwrap();
 
-    let ticket = bounded("cross-cell wake after postaction panic", {
+    let ticket = bounded("cross-method wake after postaction panic", {
         let proxy = Arc::clone(&proxy);
         move || {
             let consumer = {

@@ -39,11 +39,21 @@ fn bounded<T: Send + 'static>(label: &str, f: impl FnOnce() -> T + Send + 'stati
     let handle = thread::spawn(move || {
         let _ = tx.send(f());
     });
-    let out = rx
-        .recv_timeout(WATCHDOG)
-        .unwrap_or_else(|_| panic!("{label}: lost wakeup suspected (no completion in time)"));
-    handle.join().unwrap();
-    out
+    match rx.recv_timeout(WATCHDOG) {
+        Ok(out) => {
+            handle.join().unwrap();
+            out
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("{label}: lost wakeup suspected (no completion in time)")
+        }
+        // `f` panicked (a failed assertion dropped the sender): surface
+        // its own message, not a false hang.
+        Err(mpsc::RecvTimeoutError::Disconnected) => match handle.join() {
+            Err(payload) => std::panic::resume_unwind(payload),
+            Ok(()) => unreachable!("{label}: finished without a result"),
+        },
+    }
 }
 
 /// A capacity-1 buffer as two moderated methods: `open` takes the slot
@@ -353,10 +363,13 @@ fn barging_newcomer_overtakes_parked_waiter() {
             .collect();
         assert_eq!(resumed, vec![newcomer_inv], "the overtake, in the trace");
 
-        // Rescue the early waiter: wire the mint to open's queue and
-        // mint again.
-        moderator.wire_wakes(&tick, std::slice::from_ref(&open));
+        // Rescue the early waiter: mint again, then pulse open's own
+        // queue with a bare post-activation (its self-wake). Re-wiring
+        // the mint to open's queue here would merge two invoked methods'
+        // coordination groups, which the moderator refuses.
         invoke(&moderator, &tick);
+        let mut pulse = InvocationContext::new(open.id().clone(), moderator.next_invocation());
+        moderator.postactivation(&open, &mut pulse);
         early.join().unwrap();
         assert_eq!(moderator.stats().resumes, 4);
     });

@@ -205,7 +205,8 @@ fn mixed_storm(wake_mode: WakeMode) {
     // Phase 2: arm a one-shot bomb that *declares* the contract and
     // then breaks it. A fast admission skips the chain by design, so
     // the lie can only be observed when the chain actually runs: wire
-    // the audit row to a non-empty wake set, which closes the lane
+    // the audit row to a non-empty wake set — its own queue, so its
+    // coordination group stays the same — which closes the lane
     // (eligibility untouched) and routes the next call through the
     // locked path, where the bomb fires and `note_panic` revokes the
     // contract.
@@ -224,7 +225,7 @@ fn mixed_storm(wake_mode: WakeMode) {
     moderator
         .register(&audit, Concern::new("bomb"), Box::new(bomb))
         .unwrap();
-    moderator.wire_wakes(&audit, std::slice::from_ref(&take));
+    moderator.wire_wakes(&audit, std::slice::from_ref(&audit));
 
     let mut ctx = InvocationContext::new(audit.id().clone(), moderator.next_invocation());
     let err = moderator.preactivation(&audit, &mut ctx).unwrap_err();

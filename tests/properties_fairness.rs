@@ -43,11 +43,19 @@ fn bounded<T: Send + 'static>(label: &str, f: impl FnOnce() -> T + Send + 'stati
     let handle = thread::spawn(move || {
         let _ = tx.send(f());
     });
-    let out = rx
-        .recv_timeout(WATCHDOG)
-        .unwrap_or_else(|_| panic!("{label}: hang (seed {})", seed()));
-    handle.join().unwrap();
-    out
+    match rx.recv_timeout(WATCHDOG) {
+        Ok(out) => {
+            handle.join().unwrap();
+            out
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("{label}: hang (seed {})", seed()),
+        // `f` panicked (a failed assertion dropped the sender): surface
+        // its own message, not a false hang.
+        Err(mpsc::RecvTimeoutError::Disconnected) => match handle.join() {
+            Err(payload) => std::panic::resume_unwind(payload),
+            Ok(()) => unreachable!("{label}: finished without a result"),
+        },
+    }
 }
 
 /// Declares the token gate: `open` consumes a token or blocks; `tick`
